@@ -17,12 +17,17 @@
 //!    `kernel.*` stages (plus `kernel_speedup_*` config entries) in the
 //!    pipeline baseline; `--require-win` exits non-zero if dot, l1 or
 //!    matmul fail to beat scalar while a SIMD ISA is active.
+//! 4. What does the register-tiled scan kernel buy per pair? `l1_tile` /
+//!    `dot_tile` time one 4×2 tile (`kernels::l1_tile_on` /
+//!    `dot_tile_on`) and report ns **per pair**, next to the per-pair
+//!    `l1` / `dot` rows. On AVX2, `--require-win` also demands that each
+//!    tile beat its per-pair dispatched kernel.
 
 use largeea_bench::{arg_str, Baseline, StageStat};
 use largeea_common::bench::{Bench, Measurement};
 use largeea_common::pool::Pool;
 use largeea_common::rng::Rng;
-use largeea_tensor::kernels::{self, Isa};
+use largeea_tensor::kernels::{self, Isa, TILE_BASE, TILE_QUERIES};
 use largeea_tensor::{active_isa, Matrix};
 
 const N: usize = 160;
@@ -116,7 +121,8 @@ fn bench_production_kernels(bench: &mut Bench) {
     group.finish();
 }
 
-/// Scalar-vs-dispatched timings for one kernel on identical inputs.
+/// Scalar-vs-dispatched timings for one kernel on identical inputs, per
+/// call for the per-pair kernels and per pair for the tiles.
 struct Comparison {
     name: &'static str,
     scalar: Measurement,
@@ -154,9 +160,17 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     // Closures return the computed value so `Bencher::iter`'s black_box
     // keeps the optimiser from deleting the body (the scalar i8 dot is
     // otherwise provably dead and vanishes).
+    // `pairs` divides the per-call times, so tile rows read per pair.
     let mut compare = |group: &mut largeea_common::bench::Group<'_>,
                        name: &'static str,
+                       pairs: usize,
                        f: &mut dyn FnMut(Isa) -> f32| {
+        let per_pair = |m: Measurement| Measurement {
+            median_ns: m.median_ns / pairs as f64,
+            min_ns: m.min_ns / pairs as f64,
+            max_ns: m.max_ns / pairs as f64,
+            ..m
+        };
         let scalar = group
             .bench_measured(format!("{name}_scalar"), |br| br.iter(|| f(Isa::Scalar)))
             .expect("measured");
@@ -165,24 +179,39 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
             .expect("measured");
         out.push(Comparison {
             name,
-            scalar,
-            dispatched,
+            scalar: per_pair(scalar),
+            dispatched: per_pair(dispatched),
         });
     };
-    compare(&mut group, "dot", &mut |isa| kernels::dot_on(isa, &a, &b));
-    compare(&mut group, "l1", &mut |isa| {
+    compare(&mut group, "dot", 1, &mut |isa| {
+        kernels::dot_on(isa, &a, &b)
+    });
+    compare(&mut group, "l1", 1, &mut |isa| {
         kernels::l1_distance_on(isa, &a, &b)
+    });
+    let tile_rows: Vec<Vec<f32>> = (0..TILE_QUERIES + TILE_BASE)
+        .map(|_| (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .collect();
+    let (tq, tb) = tile_rows.split_at(TILE_QUERIES);
+    let tq: Vec<&[f32]> = tq.iter().map(Vec::as_slice).collect();
+    let tb: Vec<&[f32]> = tb.iter().map(Vec::as_slice).collect();
+    let pairs = TILE_QUERIES * TILE_BASE;
+    compare(&mut group, "l1_tile", pairs, &mut |isa| {
+        kernels::l1_tile_on(isa, &tq, &tb)[TILE_QUERIES - 1][TILE_BASE - 1]
+    });
+    compare(&mut group, "dot_tile", pairs, &mut |isa| {
+        kernels::dot_tile_on(isa, &tq, &tb)[TILE_QUERIES - 1][TILE_BASE - 1]
     });
     // alpha = 0 keeps `y` finite across repeated in-place applications
     // without changing the arithmetic cost.
-    compare(&mut group, "axpy", &mut |isa| {
+    compare(&mut group, "axpy", 1, &mut |isa| {
         kernels::axpy_on(isa, &mut y, 0.0, &a);
         y[0]
     });
-    compare(&mut group, "dot_i8", &mut |isa| {
+    compare(&mut group, "dot_i8", 1, &mut |isa| {
         kernels::dot_i8_on(isa, &qa, &qb) as f32
     });
-    compare(&mut group, "matmul", &mut |isa| {
+    compare(&mut group, "matmul", 1, &mut |isa| {
         mm_a.matmul_on(&mm_b, pool, isa).as_slice()[0]
     });
     group.finish();
@@ -190,12 +219,17 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     println!();
     for c in &out {
         println!(
-            "kernel.{:<8} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
+            "kernel.{:<8} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x){}",
             c.name,
             c.scalar.median_ns,
             c.dispatched.median_ns,
             isa.name(),
-            c.speedup()
+            c.speedup(),
+            if c.name.ends_with("_tile") {
+                "  per pair"
+            } else {
+                ""
+            }
         );
     }
     out
@@ -261,5 +295,35 @@ fn main() {
             std::process::exit(1);
         }
         println!("kernel dispatch win confirmed ({})", active_isa().name());
+        // The tile is only a real kernel on AVX2; elsewhere it is the
+        // per-pair kernel in a loop and has nothing to win.
+        if active_isa() == Isa::Avx2 {
+            let dispatched = |name: &str| {
+                comparisons
+                    .iter()
+                    .find(|c| c.name == name)
+                    .map(|c| c.dispatched.median_ns)
+                    .expect("benched")
+            };
+            let slower: Vec<String> = [("l1_tile", "l1"), ("dot_tile", "dot")]
+                .into_iter()
+                .filter(|&(tile, pair)| dispatched(tile) >= dispatched(pair))
+                .map(|(tile, pair)| {
+                    format!(
+                        "{tile} {:.2} ns/pair vs {pair} {:.2} ns",
+                        dispatched(tile),
+                        dispatched(pair)
+                    )
+                })
+                .collect();
+            if !slower.is_empty() {
+                eprintln!(
+                    "tiled kernels failed to beat the per-pair kernel: {}",
+                    slower.join("; ")
+                );
+                std::process::exit(1);
+            }
+            println!("tiled kernel win confirmed (avx2)");
+        }
     }
 }

@@ -17,10 +17,7 @@ use crate::spill::SpillStore;
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
-use largeea_sim::{
-    quantized_topk_streamed, quantized_topk_traced, segmented_topk_streamed, segmented_topk_traced,
-    Metric, QuantConfig, SparseSimMatrix,
-};
+use largeea_sim::{segmented_topk_streamed, segmented_topk_traced, Metric, SparseSimMatrix};
 use largeea_text::{batch, normalize_name, HashEncoder, LshIndex, MinHasher};
 
 /// Name-channel hyper-parameters (paper defaults in §3.1).
@@ -44,14 +41,6 @@ pub struct NameChannelConfig {
     pub shingle_k: usize,
     /// Encoder / sketch seed.
     pub seed: u64,
-    /// Run the SENS scan on i8-quantized embeddings with an exact f32
-    /// re-rank (DESIGN.md §S0.11) instead of the exact f32 scan — the
-    /// `--quantize` flag. Off by default: the exact scan is the normative
-    /// path and the committed baselines are recorded against it.
-    pub quantize: bool,
-    /// Shortlist multiplier `c` for the quantized scan (`c·k` candidates
-    /// survive to the exact re-rank). Ignored unless `quantize` is set.
-    pub shortlist_factor: usize,
 }
 
 impl Default for NameChannelConfig {
@@ -65,8 +54,6 @@ impl Default for NameChannelConfig {
             minhash_perms: 128,
             shingle_k: 3,
             seed: 0x5E45,
-            quantize: false,
-            shortlist_factor: 4,
         }
     }
 }
@@ -214,36 +201,14 @@ impl NameChannel {
             )
         };
         mem.charge("name_channel", emb_s.nbytes() + emb_t.nbytes())?;
-        let hits = if self.cfg.quantize {
-            span.field("quantize", true);
-            // The quantized corpus (i8 payload + one scale per row) lives
-            // alongside the f32 embeddings for the duration of the scan.
-            let quant_bytes =
-                (emb_s.rows() + emb_t.rows()) * (self.cfg.dim + std::mem::size_of::<f32>());
-            mem.charge("name_channel", quant_bytes)?;
-            let hits = quantized_topk_traced(
-                &emb_s,
-                &emb_t,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                self.cfg.segments,
-                QuantConfig {
-                    shortlist_factor: self.cfg.shortlist_factor,
-                },
-                rec,
-            );
-            mem.uncharge("name_channel", quant_bytes);
-            hits
-        } else {
-            segmented_topk_traced(
-                &emb_s,
-                &emb_t,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                self.cfg.segments,
-                rec,
-            )
-        };
+        let hits = segmented_topk_traced(
+            &emb_s,
+            &emb_t,
+            self.cfg.top_k,
+            Metric::Manhattan,
+            self.cfg.segments,
+            rec,
+        );
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
         // negative distances → [0,1] per row so γ-weighted fusion and the
         // later channel fusion operate on one scale
@@ -297,15 +262,9 @@ impl NameChannel {
         }
         // The streamed search holds one query + one base segment resident;
         // charge that bound up front (the loaders can't borrow the tracker
-        // while both borrow the store). The quantized scan additionally
-        // keeps the whole corpus resident in i8 (4× smaller than f32) plus
-        // one scale per row.
-        let mut resident =
+        // while both borrow the store).
+        let resident =
             (q_seg.min(n_q) + b_seg.min(n_b)) * self.cfg.dim * std::mem::size_of::<f32>();
-        if self.cfg.quantize {
-            span.field("quantize", true);
-            resident += (n_q + n_b) * (self.cfg.dim + std::mem::size_of::<f32>());
-        }
         mem.charge("name_channel", resident)?;
         let store_ref = &*store;
         let load_q = |r: std::ops::Range<usize>| {
@@ -314,32 +273,17 @@ impl NameChannel {
         let load_b = |r: std::ops::Range<usize>| {
             store_ref.get_matrix(&format!("sens.b{}", r.start / b_seg), rec)
         };
-        let hits = if self.cfg.quantize {
-            quantized_topk_streamed(
-                n_q,
-                n_b,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                segments,
-                QuantConfig {
-                    shortlist_factor: self.cfg.shortlist_factor,
-                },
-                rec,
-                load_q,
-                load_b,
-            )
-        } else {
-            segmented_topk_streamed(
-                n_q,
-                n_b,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                segments,
-                rec,
-                load_q,
-                load_b,
-            )
-        }
+        let hits = segmented_topk_streamed(
+            n_q,
+            n_b,
+            self.cfg.dim,
+            self.cfg.top_k,
+            Metric::Manhattan,
+            segments,
+            rec,
+            load_q,
+            load_b,
+        )
         .map_err(RunError::Spill)?;
         mem.uncharge("name_channel", resident);
         for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
@@ -532,29 +476,6 @@ mod tests {
         let out = NameChannel::new(cfg).run(&s, &t);
         for r in 0..30 {
             assert!(out.m_se.row(r).len() <= 3, "row {r} too wide");
-        }
-    }
-
-    #[test]
-    fn quantized_sens_matches_exact_when_shortlist_covers() {
-        // With top_k (50) ≥ the number of entities, every candidate survives
-        // the i8 shortlist and the exact f32 re-rank reproduces the exact
-        // scan verbatim (DESIGN.md §S0.11).
-        let mut s = KnowledgeGraph::new("EN");
-        let mut t = KnowledgeGraph::new("FR");
-        for i in 0..30 {
-            s.add_entity_with_label(&format!("en/{i}"), &format!("Concept {i}"));
-            t.add_entity_with_label(&format!("fr/{i}"), &format!("Notion {i}"));
-        }
-        let exact = NameChannel::new(NameChannelConfig::default()).run(&s, &t);
-        let quant = NameChannel::new(NameChannelConfig {
-            quantize: true,
-            ..Default::default()
-        })
-        .run(&s, &t);
-        assert_eq!(exact.m_se.n_rows(), quant.m_se.n_rows());
-        for r in 0..exact.m_se.n_rows() {
-            assert_eq!(exact.m_se.row(r), quant.m_se.row(r), "row {r} diverged");
         }
     }
 

@@ -1,8 +1,18 @@
 //! Exact blocked top-k similarity search — the Faiss substitute.
+//!
+//! Every exact search in this module runs one scan loop ([`scan`]): row
+//! segments are scored tile by tile with the register-tiled kernels
+//! ([`kernels::l1_tile_on`] / [`kernels::dot_tile_on`], DESIGN.md §S0.11)
+//! into bounded [`TopK`] collectors. The public entry points differ only in
+//! where the segments come from (resident matrices or loaders) and whether
+//! the scan is traced.
 
 use largeea_common::obs::{Level, Recorder};
-use largeea_tensor::parallel::{par_map_blocks, Pool};
-use largeea_tensor::{dot, l1_distance, Matrix};
+use largeea_tensor::kernels::{self, Isa, Tile, TILE_BASE, TILE_QUERIES};
+use largeea_tensor::parallel::Pool;
+use largeea_tensor::{active_isa, dot, l1_distance, Matrix};
+use std::convert::Infallible;
+use std::ops::Range;
 
 /// Similarity metric for the search. All variants are expressed as
 /// *similarities* (larger is better); distances are negated.
@@ -16,15 +26,17 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Similarity between two equal-length vectors. Uses the dispatched
-    /// reductions from `largeea-tensor` ([`l1_distance`] / [`dot`]) —
-    /// the scoring loop here dominates SENS wall-clock, and a strict
-    /// sequential FP sum never vectorises.
+    /// Similarity between two equal-length vectors, one pair at a time,
+    /// via the dispatched per-pair kernels ([`l1_distance`] / [`dot`]).
+    /// The exact scans in this module score whole tiles instead
+    /// ([`kernels::l1_tile_on`] / [`kernels::dot_tile_on`]), which are
+    /// bit-identical to this function pair by pair; the per-pair form
+    /// serves the IVF probe and reference checks.
     ///
     /// Length discipline: the kernels truncate to the shorter slice, so a
     /// mismatched call silently scores a prefix. The public `topk` entry
     /// points therefore reject mismatched dimensionality with a documented
-    /// panic *before* any scoring; this inner hot path keeps only a
+    /// panic *before* any scoring; this function keeps only a
     /// `debug_assert` so release builds pay no per-pair branch.
     #[inline]
     pub fn similarity(self, a: &[f32], b: &[f32]) -> f32 {
@@ -32,6 +44,16 @@ impl Metric {
         match self {
             Metric::Manhattan => -l1_distance(a, b),
             Metric::InnerProduct => dot(a, b),
+        }
+    }
+
+    /// [`Metric::similarity`] of every pair of a tile on `isa`,
+    /// bit-identical to it pair by pair (negating a distance is exact).
+    #[inline]
+    fn tile(self, isa: Isa, queries: &[&[f32]], base: &[&[f32]]) -> Tile {
+        match self {
+            Metric::Manhattan => kernels::l1_tile_on(isa, queries, base).map(|r| r.map(|d| -d)),
+            Metric::InnerProduct => kernels::dot_tile_on(isa, queries, base),
         }
     }
 }
@@ -46,12 +68,12 @@ impl Metric {
 /// width, or segmenting. The heap orders ties too (among equal scores the
 /// *highest* id is the eviction victim), because a score-only heap leaves
 /// the survivor among tied minima at the mercy of eviction history.
-/// `quant` reuses this collector for its shortlist and re-rank phases, so
-/// all three search paths (exact, streamed, quantized) share one tie
-/// semantics.
-pub(crate) struct TopK {
+struct TopK {
     k: usize,
     heap: Vec<(f32, u32)>, // min-heap under `worse`
+    /// The root's score once `heap` is full, `-∞` before: what
+    /// [`TopK::admits`] compares against.
+    floor: f32,
 }
 
 /// Total-order "is `a` worse than `b`": lower score loses; equal scores,
@@ -62,15 +84,25 @@ fn worse(a: (f32, u32), b: (f32, u32)) -> bool {
 }
 
 impl TopK {
-    pub(crate) fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         Self {
             k,
             heap: Vec::with_capacity(k + 1),
+            floor: f32::NEG_INFINITY,
         }
     }
 
+    /// Fast reject for hot loops: `false` only when the collector is full
+    /// and `score` is strictly below the worst retained score — a subset
+    /// of the pushes [`TopK::push`] rejects, so skipping them changes
+    /// nothing.
     #[inline]
-    pub(crate) fn push(&mut self, id: u32, score: f32) {
+    fn admits(&self, score: f32) -> bool {
+        score.partial_cmp(&self.floor) != Some(std::cmp::Ordering::Less)
+    }
+
+    #[inline]
+    fn push(&mut self, id: u32, score: f32) {
         if self.heap.len() < self.k {
             self.heap.push((score, id));
             let mut i = self.heap.len() - 1;
@@ -81,6 +113,9 @@ impl TopK {
                 }
                 self.heap.swap(p, i);
                 i = p;
+            }
+            if self.heap.len() == self.k {
+                self.floor = self.heap[0].0;
             }
         } else if worse(self.heap[0], (score, id)) {
             self.heap[0] = (score, id);
@@ -100,12 +135,13 @@ impl TopK {
                 self.heap.swap(i, min);
                 i = min;
             }
+            self.floor = self.heap[0].0;
         }
     }
 
     /// Drains into `(id, score)` pairs sorted by descending score
     /// (ties broken by ascending id for determinism).
-    pub(crate) fn into_sorted(self) -> Vec<(u32, f32)> {
+    fn into_sorted(self) -> Vec<(u32, f32)> {
         let mut v: Vec<(u32, f32)> = self.heap.into_iter().map(|(s, i)| (i, s)).collect();
         v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         v
@@ -120,8 +156,9 @@ impl TopK {
 /// # Panics
 ///
 /// If `queries.cols() != base.cols()` ("query/base dimensionality
-/// mismatch") or `k == 0` — checked up front so no mismatched pair is
-/// ever silently prefix-scored (see [`Metric::similarity`]).
+/// mismatch") or `k == 0` ("k must be at least 1") — checked up front so
+/// no mismatched pair is ever silently prefix-scored (see
+/// [`Metric::similarity`]).
 pub fn topk_search(
     queries: &Matrix,
     base: &Matrix,
@@ -145,25 +182,7 @@ pub fn topk_search_in(
     metric: Metric,
     pool: &Pool,
 ) -> Vec<Vec<(u32, f32)>> {
-    assert_eq!(
-        queries.cols(),
-        base.cols(),
-        "query/base dimensionality mismatch"
-    );
-    assert!(k >= 1, "k must be at least 1");
-    let blocks = pool.map_blocks(queries.rows(), 64, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for q in range {
-            let qrow = queries.row(q);
-            let mut top = TopK::new(k);
-            for b in 0..base.rows() {
-                top.push(b as u32, metric.similarity(qrow, base.row(b)));
-            }
-            out.push(top.into_sorted());
-        }
-        out
-    });
-    blocks.into_iter().flatten().collect()
+    scan_resident(queries, base, k, metric, 1, pool, &Recorder::disabled())
 }
 
 /// Segment-at-a-time top-k search mirroring the paper's SENS memory layout:
@@ -179,7 +198,7 @@ pub fn topk_search_in(
 /// # Panics
 ///
 /// If `queries.cols() != base.cols()` ("query/base dimensionality
-/// mismatch") or `num_segments == 0`.
+/// mismatch"), `k == 0` ("k must be at least 1") or `num_segments == 0`.
 pub fn segmented_topk(
     queries: &Matrix,
     base: &Matrix,
@@ -213,55 +232,7 @@ pub fn segmented_topk_traced(
     num_segments: usize,
     rec: &Recorder,
 ) -> Vec<Vec<(u32, f32)>> {
-    assert_eq!(
-        queries.cols(),
-        base.cols(),
-        "query/base dimensionality mismatch"
-    );
-    assert!(num_segments >= 1, "need at least one segment");
-    let q_seg = queries.rows().div_ceil(num_segments).max(1);
-    let b_seg = base.rows().div_ceil(num_segments).max(1);
-    let mut merged: Vec<TopK> = (0..queries.rows()).map(|_| TopK::new(k)).collect();
-    let mut blocks_done = 0u64;
-    let mut total_scored = 0u64;
-
-    for b_start in (0..base.rows()).step_by(b_seg) {
-        let b_end = (b_start + b_seg).min(base.rows());
-        for q_start in (0..queries.rows()).step_by(q_seg) {
-            let q_end = (q_start + q_seg).min(queries.rows());
-            let mut span = rec.span_at(Level::Trace, "sens_block");
-            // per segment-pair: compute scores and fold into the collectors
-            let block = par_map_blocks(q_end - q_start, 32, |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for qi in range {
-                    let q = q_start + qi;
-                    let qrow = queries.row(q);
-                    let mut local = TopK::new(k);
-                    for b in b_start..b_end {
-                        local.push(b as u32, metric.similarity(qrow, base.row(b)));
-                    }
-                    out.push((q, local.into_sorted()));
-                }
-                out
-            });
-            for (q, hits) in block.into_iter().flatten() {
-                for (id, score) in hits {
-                    merged[q].push(id, score);
-                }
-            }
-            let scored = ((q_end - q_start) * (b_end - b_start)) as u64;
-            span.field("q_start", q_start);
-            span.field("q_rows", q_end - q_start);
-            span.field("b_start", b_start);
-            span.field("b_rows", b_end - b_start);
-            span.field("scored", scored);
-            blocks_done += 1;
-            total_scored += scored;
-        }
-    }
-    rec.add("sens.blocks", blocks_done);
-    rec.add("sens.candidates_scored", total_scored);
-    merged.into_iter().map(TopK::into_sorted).collect()
+    scan_resident(queries, base, k, metric, num_segments, Pool::global(), rec)
 }
 
 /// Out-of-core [`segmented_topk_traced`]: instead of borrowing whole
@@ -270,68 +241,159 @@ pub fn segmented_topk_traced(
 /// in — DESIGN.md §S0.8), so at most one query segment and one base
 /// segment are ever resident.
 ///
-/// The iteration order, blocking (`par_map_blocks(_, 32, ..)`), collector
-/// fold and tie-breaking are copied verbatim from
-/// [`segmented_topk_traced`], and the loaded segments must be row slices
-/// of the same matrices — under those conditions every score is computed
-/// from identical floats in an identical sequence, so the result is
-/// **bit-identical** to the in-RAM path (asserted by
-/// `streamed_matches_in_ram_traced`). Loader errors abort the search.
+/// Both paths run the same scan over the same segment arithmetic, and the
+/// loaded segments must be row slices of the same `dim`-column matrices —
+/// so every score is computed from identical floats by the identical
+/// kernel, and the result is **bit-identical** to the in-RAM path
+/// (asserted by `streamed_matches_in_ram_traced`). Loader errors abort the
+/// search.
 ///
 /// # Panics
 ///
-/// If `num_segments == 0`, if a loader returns a segment whose row count
-/// differs from the requested range, or if a query segment's column count
-/// differs from the base segment's ("segment dim mismatch" — the streamed
-/// equivalent of the dimensionality check on the in-RAM entry points).
-#[allow(clippy::too_many_arguments)] // mirrors segmented_topk_traced plus two loaders
+/// If `k == 0` ("k must be at least 1") or `num_segments == 0`, or if a
+/// loader returns a segment whose row count differs from the requested
+/// range ("… segment row count") or whose column count is not `dim`
+/// ("segment dim mismatch").
+#[allow(clippy::too_many_arguments)] // mirrors segmented_topk_traced plus dim and two loaders
 pub fn segmented_topk_streamed<E>(
     n_queries: usize,
     n_base: usize,
+    dim: usize,
     k: usize,
     metric: Metric,
     num_segments: usize,
     rec: &Recorder,
-    mut load_queries: impl FnMut(std::ops::Range<usize>) -> Result<Matrix, E>,
-    mut load_base: impl FnMut(std::ops::Range<usize>) -> Result<Matrix, E>,
+    mut load_queries: impl FnMut(Range<usize>) -> Result<Matrix, E>,
+    mut load_base: impl FnMut(Range<usize>) -> Result<Matrix, E>,
 ) -> Result<Vec<Vec<(u32, f32)>>, E> {
+    scan(
+        (n_queries, n_base),
+        (dim, dim),
+        k,
+        metric,
+        num_segments,
+        Pool::global(),
+        rec,
+        |r| load_queries(r).map(Segment::Loaded),
+        |r| load_base(r).map(Segment::Loaded),
+    )
+}
+
+/// Rows handed to [`scan`]: a row range of a resident matrix (borrowed,
+/// nothing copied), or a segment a loader materialised.
+enum Segment<'a> {
+    Rows(&'a Matrix, Range<usize>),
+    Loaded(Matrix),
+}
+
+impl Segment<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Segment::Rows(_, r) => r.len(),
+            Segment::Loaded(m) => m.rows(),
+        }
+    }
+
+    fn cols(&self) -> usize {
+        match self {
+            Segment::Rows(m, _) => m.cols(),
+            Segment::Loaded(m) => m.cols(),
+        }
+    }
+
+    /// Row-major data of exactly this segment's rows.
+    fn data(&self) -> &[f32] {
+        match self {
+            Segment::Rows(m, r) => &m.as_slice()[r.start * m.cols()..r.end * m.cols()],
+            Segment::Loaded(m) => m.as_slice(),
+        }
+    }
+}
+
+/// [`scan`] over two resident matrices, whose segments are borrowed row
+/// ranges — nothing is copied and nothing can fail.
+fn scan_resident(
+    queries: &Matrix,
+    base: &Matrix,
+    k: usize,
+    metric: Metric,
+    num_segments: usize,
+    pool: &Pool,
+    rec: &Recorder,
+) -> Vec<Vec<(u32, f32)>> {
+    let hits = scan(
+        (queries.rows(), base.rows()),
+        (queries.cols(), base.cols()),
+        k,
+        metric,
+        num_segments,
+        pool,
+        rec,
+        |r| Ok::<_, Infallible>(Segment::Rows(queries, r)),
+        |r| Ok(Segment::Rows(base, r)),
+    );
+    match hits {
+        Ok(hits) => hits,
+        Err(never) => match never {},
+    }
+}
+
+/// The one exact scan behind every public search. Both sides are split
+/// into `num_segments` row segments; for each base segment (outer) and
+/// query segment (inner) a `sens_block` span times [`scan_block`], which
+/// scores the pair straight into the queries' running collectors — so
+/// only one segment pair is ever resident, and a later segment's scores
+/// meet the floor the earlier ones set. `sens.blocks` /
+/// `sens.candidates_scored` count the pairs.
+///
+/// # Panics
+///
+/// On entry, if the query and base dimensionalities differ ("query/base
+/// dimensionality mismatch"), `k == 0` ("k must be at least 1") or
+/// `num_segments == 0`; later, if a loader returns the wrong number of
+/// rows or columns.
+#[allow(clippy::too_many_arguments)] // the union of every entry point's inputs
+fn scan<'a, E>(
+    (n_q, n_b): (usize, usize),
+    (q_dim, b_dim): (usize, usize),
+    k: usize,
+    metric: Metric,
+    num_segments: usize,
+    pool: &Pool,
+    rec: &Recorder,
+    mut load_q: impl FnMut(Range<usize>) -> Result<Segment<'a>, E>,
+    mut load_b: impl FnMut(Range<usize>) -> Result<Segment<'a>, E>,
+) -> Result<Vec<Vec<(u32, f32)>>, E> {
+    assert_eq!(q_dim, b_dim, "query/base dimensionality mismatch");
+    assert!(k >= 1, "k must be at least 1");
     assert!(num_segments >= 1, "need at least one segment");
-    let q_seg = n_queries.div_ceil(num_segments).max(1);
-    let b_seg = n_base.div_ceil(num_segments).max(1);
-    let mut merged: Vec<TopK> = (0..n_queries).map(|_| TopK::new(k)).collect();
+    let isa = active_isa();
+    let q_seg = n_q.div_ceil(num_segments).max(1);
+    let b_seg = n_b.div_ceil(num_segments).max(1);
+    let mut tops: Vec<TopK> = (0..n_q).map(|_| TopK::new(k)).collect();
     let mut blocks_done = 0u64;
     let mut total_scored = 0u64;
 
-    for b_start in (0..n_base).step_by(b_seg) {
-        let b_end = (b_start + b_seg).min(n_base);
-        let b_block = load_base(b_start..b_end)?;
+    for b_start in (0..n_b).step_by(b_seg) {
+        let b_end = (b_start + b_seg).min(n_b);
+        let b_block = load_b(b_start..b_end)?;
         assert_eq!(b_block.rows(), b_end - b_start, "base segment row count");
-        for q_start in (0..n_queries).step_by(q_seg) {
-            let q_end = (q_start + q_seg).min(n_queries);
-            let q_block = load_queries(q_start..q_end)?;
+        assert_eq!(b_block.cols(), b_dim, "segment dim mismatch");
+        for q_start in (0..n_q).step_by(q_seg) {
+            let q_end = (q_start + q_seg).min(n_q);
+            let q_block = load_q(q_start..q_end)?;
             assert_eq!(q_block.rows(), q_end - q_start, "query segment row count");
-            assert_eq!(q_block.cols(), b_block.cols(), "segment dim mismatch");
+            assert_eq!(q_block.cols(), q_dim, "segment dim mismatch");
             let mut span = rec.span_at(Level::Trace, "sens_block");
-            let block = par_map_blocks(q_end - q_start, 32, |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for qi in range {
-                    let qrow = q_block.row(qi);
-                    let mut local = TopK::new(k);
-                    for bi in 0..b_block.rows() {
-                        local.push(
-                            (b_start + bi) as u32,
-                            metric.similarity(qrow, b_block.row(bi)),
-                        );
-                    }
-                    out.push((q_start + qi, local.into_sorted()));
-                }
-                out
-            });
-            for (q, hits) in block.into_iter().flatten() {
-                for (id, score) in hits {
-                    merged[q].push(id, score);
-                }
-            }
+            scan_block(
+                &mut tops[q_start..q_end],
+                &q_block,
+                &b_block,
+                b_start,
+                metric,
+                isa,
+                pool,
+            );
             let scored = ((q_end - q_start) * (b_end - b_start)) as u64;
             span.field("q_start", q_start);
             span.field("q_rows", q_end - q_start);
@@ -344,7 +406,63 @@ pub fn segmented_topk_streamed<E>(
     }
     rec.add("sens.blocks", blocks_done);
     rec.add("sens.candidates_scored", total_scored);
-    Ok(merged.into_iter().map(TopK::into_sorted).collect())
+    Ok(tops.into_iter().map(TopK::into_sorted).collect())
+}
+
+/// Bytes of base rows [`scan_block`] keeps hot at a time: half of a
+/// typical 48 KiB L1d, leaving room for the query tile.
+const BASE_CHUNK_BYTES: usize = 24 << 10;
+
+/// Scores every row of `q` against every row of `b` (base ids offset by
+/// `b_id0`) into `tops`, one collector per query row. Query rows are
+/// spread over `pool` and scored in tiles of [`TILE_QUERIES`]. Each task
+/// walks the base in chunks of about [`BASE_CHUNK_BYTES`] and sweeps all
+/// its query tiles over a chunk before the next, so base rows come from L1
+/// rather than being re-streamed from memory per tile; within a chunk the
+/// base rows pass the tile [`TILE_BASE`] at a time, and only scores that
+/// pass [`TopK::admits`] reach the heap.
+fn scan_block(
+    tops: &mut [TopK],
+    q: &Segment,
+    b: &Segment,
+    b_id0: usize,
+    metric: Metric,
+    isa: Isa,
+    pool: &Pool,
+) {
+    fn row(data: &[f32], dim: usize, i: usize) -> &[f32] {
+        &data[i * dim..(i + 1) * dim]
+    }
+    let dim = q.cols();
+    let (q_data, b_data) = (q.data(), b.data());
+    let (n_q, n_b) = (q.rows(), b.rows());
+    let chunk_rows = (BASE_CHUNK_BYTES / (dim.max(1) * std::mem::size_of::<f32>())).max(TILE_BASE)
+        / TILE_BASE
+        * TILE_BASE;
+    pool.rows_mut(tops, 1, 32, |tops, first| {
+        for chunk in (0..n_b).step_by(chunk_rows) {
+            let chunk_end = (chunk + chunk_rows).min(n_b);
+            for (t, tile_tops) in tops.chunks_mut(TILE_QUERIES).enumerate() {
+                let q0 = first + t * TILE_QUERIES;
+                let qs: [&[f32]; TILE_QUERIES] =
+                    std::array::from_fn(|i| row(q_data, dim, (q0 + i).min(n_q - 1)));
+                let qs = &qs[..tile_tops.len()];
+                for b0 in (chunk..chunk_end).step_by(TILE_BASE) {
+                    let bs: [&[f32]; TILE_BASE] =
+                        std::array::from_fn(|j| row(b_data, dim, (b0 + j).min(n_b - 1)));
+                    let nb = TILE_BASE.min(n_b - b0);
+                    let scores = metric.tile(isa, qs, &bs[..nb]);
+                    for (top, scores) in tile_tops.iter_mut().zip(&scores) {
+                        for (j, &s) in scores[..nb].iter().enumerate() {
+                            if top.admits(s) {
+                                top.push((b_id0 + b0 + j) as u32, s);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -453,6 +571,7 @@ mod tests {
             let streamed = segmented_topk_streamed(
                 nq,
                 nb,
+                6,
                 4,
                 Metric::Manhattan,
                 segs,
@@ -479,6 +598,7 @@ mod tests {
         let err = segmented_topk_streamed(
             10,
             10,
+            3,
             2,
             Metric::Manhattan,
             2,
@@ -527,38 +647,108 @@ mod tests {
         use largeea_common::check::for_each_case;
         // Scores drawn from a handful of distinct values force heavy ties;
         // the collector must keep the lowest ids among equals at every
-        // thread width, matching a naive (-score, id) sort.
+        // thread width and segmenting, matching a naive (-score, id) sort
+        // of per-pair similarities. The shapes also leave partial tiles on
+        // either side (nq % 4 != 0, odd nb), ask for k beyond the base, and
+        // use dims with and without a sub-chunk tail, so the tiled scan
+        // must equal the per-pair kernel everywhere.
         for_each_case(0x7195, 40, |rng| {
-            let nq = rng.gen_range(1..12usize);
-            let nb = rng.gen_range(1..60usize);
-            let k = rng.gen_range(1..8usize);
-            let dim = rng.gen_range(1..5usize);
-            let q = Matrix::from_fn(nq, dim, |_, _| rng.gen_range(0i32..3) as f32);
-            let b = Matrix::from_fn(nb, dim, |_, _| rng.gen_range(0i32..3) as f32);
-            let mut expect = Vec::with_capacity(nq);
-            for qi in 0..nq {
-                let mut scored: Vec<(u32, f32)> = (0..nb)
-                    .map(|bi| {
-                        (
-                            bi as u32,
-                            Metric::Manhattan.similarity(q.row(qi), b.row(bi)),
-                        )
+            let nq = rng.gen_range(1..16usize);
+            let nb = rng.gen_range(1..40usize);
+            let k = rng.gen_range(1..nb + 4);
+            let dim = [1, 3, 8, 9, 17][rng.gen_range(0..5usize)];
+            let q = Matrix::from_fn(nq, dim, |_, _| rng.gen_range(-2i32..3) as f32);
+            let b = Matrix::from_fn(nb, dim, |_, _| rng.gen_range(-2i32..3) as f32);
+            for metric in [Metric::Manhattan, Metric::InnerProduct] {
+                let expect: Vec<Vec<(u32, f32)>> = (0..nq)
+                    .map(|qi| {
+                        let mut scored: Vec<(u32, f32)> = (0..nb)
+                            .map(|bi| (bi as u32, metric.similarity(q.row(qi), b.row(bi))))
+                            .collect();
+                        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+                        scored.truncate(k);
+                        scored
                     })
                     .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                scored.truncate(k);
-                expect.push(scored);
-            }
-            for width in [1, 2, 4] {
-                let pool = Pool::new(width);
-                let got = topk_search_in(&q, &b, k, Metric::Manhattan, &pool);
-                assert_eq!(got, expect, "width={width} nq={nq} nb={nb} k={k}");
-            }
-            for segs in [1, 3] {
-                let got = segmented_topk(&q, &b, k, Metric::Manhattan, segs);
-                assert_eq!(got, expect, "segments={segs} nq={nq} nb={nb} k={k}");
+                let at = format!("{metric:?} nq={nq} nb={nb} k={k} dim={dim}");
+                for width in [1, 2, 4] {
+                    let got = topk_search_in(&q, &b, k, metric, &Pool::new(width));
+                    assert_eq!(got, expect, "width={width} {at}");
+                }
+                for segs in [1, 3] {
+                    let got = segmented_topk(&q, &b, k, metric, segs);
+                    assert_eq!(got, expect, "segments={segs} {at}");
+                }
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn topk_search_rejects_k_zero() {
+        topk_search(
+            &Matrix::zeros(3, 2),
+            &Matrix::zeros(5, 2),
+            0,
+            Metric::Manhattan,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn segmented_rejects_k_zero() {
+        segmented_topk(
+            &Matrix::zeros(3, 2),
+            &Matrix::zeros(5, 2),
+            0,
+            Metric::Manhattan,
+            2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn traced_rejects_k_zero() {
+        segmented_topk_traced(
+            &Matrix::zeros(3, 2),
+            &Matrix::zeros(5, 2),
+            0,
+            Metric::InnerProduct,
+            2,
+            &Recorder::disabled(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn streamed_rejects_k_zero() {
+        let _ = segmented_topk_streamed(
+            3,
+            5,
+            2,
+            0,
+            Metric::Manhattan,
+            2,
+            &Recorder::disabled(),
+            |r| Ok::<_, std::io::Error>(Matrix::zeros(r.len(), 2)),
+            |r| Ok(Matrix::zeros(r.len(), 2)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "segment dim mismatch")]
+    fn streamed_rejects_a_segment_of_the_wrong_dim() {
+        let _ = segmented_topk_streamed(
+            3,
+            5,
+            2,
+            1,
+            Metric::Manhattan,
+            2,
+            &Recorder::disabled(),
+            |r| Ok::<_, std::io::Error>(Matrix::zeros(r.len(), 2)),
+            |r| Ok(Matrix::zeros(r.len(), 3)),
+        );
     }
 
     #[test]

@@ -200,6 +200,112 @@ pub fn l1_i8_on(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
     }
 }
 
+/// Query rows per [`l1_tile_on`]/[`dot_tile_on`] tile.
+pub const TILE_QUERIES: usize = 4;
+/// Base rows per [`l1_tile_on`]/[`dot_tile_on`] tile.
+pub const TILE_BASE: usize = 2;
+/// Scores of one tile: `tile[i][j]` pairs query row `i` with base row `j`.
+pub type Tile = [[f32; TILE_BASE]; TILE_QUERIES];
+
+/// [`l1_distance`] of every (query, base) pair of a tile of up to
+/// [`TILE_QUERIES`] query rows × [`TILE_BASE`] base rows, in one pass that
+/// loads each base chunk once for all query rows. `tile[i][j]` is
+/// bit-identical to `l1_distance_on(isa, queries[i], base[j])`; entries
+/// outside the given rows are `0.0`.
+///
+/// # Panics
+///
+/// If either side is empty or larger than the tile, or if the rows do not
+/// all have the same length.
+#[inline]
+pub fn l1_tile_on(isa: Isa, queries: &[&[f32]], base: &[&[f32]]) -> Tile {
+    let shape = tile_shape(queries, base);
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // `tile_shape` checked that all rows share one length, and `pad`
+        // only repeats those rows.
+        Isa::Avx2 if isa.available() => {
+            unpad(shape, unsafe { avx2::l1_tile(pad(queries), pad(base)) })
+        }
+        _ => per_pair(shape, queries, base, |a, b| l1_distance_on(isa, a, b)),
+    }
+}
+
+/// [`dot`] of every (query, base) pair of a tile; the same shape, contract
+/// and panics as [`l1_tile_on`].
+#[inline]
+pub fn dot_tile_on(isa: Isa, queries: &[&[f32]], base: &[&[f32]]) -> Tile {
+    let shape = tile_shape(queries, base);
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // `tile_shape` checked that all rows share one length, and `pad`
+        // only repeats those rows.
+        Isa::Avx2 if isa.available() => {
+            unpad(shape, unsafe { avx2::dot_tile(pad(queries), pad(base)) })
+        }
+        _ => per_pair(shape, queries, base, |a, b| dot_on(isa, a, b)),
+    }
+}
+
+/// Checks a tile's shape and row lengths; returns `(queries, base)` rows.
+#[inline]
+fn tile_shape(queries: &[&[f32]], base: &[&[f32]]) -> (usize, usize) {
+    let (nq, nb) = (queries.len(), base.len());
+    assert!(
+        (1..=TILE_QUERIES).contains(&nq) && (1..=TILE_BASE).contains(&nb),
+        "tile of {nq}x{nb} rows exceeds {TILE_QUERIES}x{TILE_BASE}"
+    );
+    let n = queries[0].len();
+    assert!(
+        queries.iter().all(|r| r.len() == n) && base.iter().all(|r| r.len() == n),
+        "tile rows must have equal length"
+    );
+    (nq, nb)
+}
+
+/// Fills a partial side up to `N` rows by repeating its last row; the
+/// repeated rows' scores are computed and then dropped by [`unpad`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn pad<'a, const N: usize>(rows: &[&'a [f32]]) -> [&'a [f32]; N] {
+    std::array::from_fn(|i| rows[i.min(rows.len() - 1)])
+}
+
+/// The `(nq, nb)` corner of a full row-major 4×2 result, zeros elsewhere.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn unpad((nq, nb): (usize, usize), full: [f32; TILE_QUERIES * TILE_BASE]) -> Tile {
+    std::array::from_fn(|i| {
+        std::array::from_fn(|j| {
+            if i < nq && j < nb {
+                full[i * TILE_BASE + j]
+            } else {
+                0.0
+            }
+        })
+    })
+}
+
+/// The tile as `nq × nb` calls of a per-pair kernel — the reference every
+/// tiled body must equal, and the body on ISAs without one.
+#[inline]
+fn per_pair(
+    (nq, nb): (usize, usize),
+    queries: &[&[f32]],
+    base: &[&[f32]],
+    pair: impl Fn(&[f32], &[f32]) -> f32,
+) -> Tile {
+    let mut tile = [[0.0; TILE_BASE]; TILE_QUERIES];
+    for (row, q) in tile.iter_mut().zip(&queries[..nq]) {
+        for (score, b) in row.iter_mut().zip(&base[..nb]) {
+            *score = pair(q, b);
+        }
+    }
+    tile
+}
+
 /// MR=4 packed-panel matmul micro-kernel on an explicit ISA. Four rows of A
 /// stream against one packed B panel; every output element accumulates its
 /// products strictly in ascending-`k` order, one add per `k`, so all ISAs
@@ -396,6 +502,90 @@ mod avx2 {
         (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
             + tail
+    }
+
+    /// The 4×2 tile body shared by [`l1_tile`] and [`dot_tile`]: eight
+    /// independent accumulators (one per pair, lane `j` = scalar `acc[j]`),
+    /// each base chunk loaded once for the four query rows. `$vec` is the
+    /// per-chunk term of query chunk `$x` and base chunk `$y`, `$scalar`
+    /// the tail term. The result is row-major: `[q0b0, q0b1, q1b0, …]`.
+    macro_rules! tile_4x2 {
+        ($q:ident, $b:ident, |$x:ident, $y:ident| $vec:expr, $scalar:expr) => {{
+            let n = $q[0].len();
+            let chunks = n / 8;
+            let [q0, q1, q2, q3] = $q.map(<[f32]>::as_ptr);
+            let [b0, b1] = $b.map(<[f32]>::as_ptr);
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for i in 0..chunks {
+                let off = i * 8;
+                let vb0 = _mm256_loadu_ps(b0.add(off));
+                let vb1 = _mm256_loadu_ps(b1.add(off));
+                for (r, q) in [q0, q1, q2, q3].into_iter().enumerate() {
+                    let $x = _mm256_loadu_ps(q.add(off));
+                    acc[2 * r] = _mm256_add_ps(acc[2 * r], {
+                        let $y = vb0;
+                        $vec
+                    });
+                    acc[2 * r + 1] = _mm256_add_ps(acc[2 * r + 1], {
+                        let $y = vb1;
+                        $vec
+                    });
+                }
+            }
+            let mut tail = [0.0f32; 8];
+            for i in chunks * 8..n {
+                for (r, q) in $q.iter().enumerate() {
+                    for (c, b) in $b.iter().enumerate() {
+                        tail[2 * r + c] += $scalar(q[i], b[i]);
+                    }
+                }
+            }
+            let lo = _mm_add_ps(
+                combine4(acc[0], acc[1], acc[2], acc[3]),
+                _mm_loadu_ps(tail.as_ptr()),
+            );
+            let hi = _mm_add_ps(
+                combine4(acc[4], acc[5], acc[6], acc[7]),
+                _mm_loadu_ps(tail.as_ptr().add(4)),
+            );
+            let mut out = [0.0f32; 8];
+            _mm_storeu_ps(out.as_mut_ptr(), lo);
+            _mm_storeu_ps(out.as_mut_ptr().add(4), hi);
+            out
+        }};
+    }
+
+    /// Reduces four accumulators to `[Σa, Σb, Σc, Σd]`, each by the scalar
+    /// tree `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`: the first `hadd`
+    /// forms the adjacent pairs (per 128-bit half), the second the pairs
+    /// of pairs, and the final add joins the low half `(0..4)` to the high
+    /// half `(4..8)`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn combine4(a: __m256, b: __m256, c: __m256, d: __m256) -> __m128 {
+        let g = _mm256_hadd_ps(_mm256_hadd_ps(a, b), _mm256_hadd_ps(c, d));
+        _mm_add_ps(_mm256_castps256_ps128(g), _mm256_extractf128_ps::<1>(g))
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that all six rows have
+    /// the same length.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn l1_tile(q: [&[f32]; 4], b: [&[f32]; 2]) -> [f32; 8] {
+        tile_4x2!(
+            q,
+            b,
+            |x, y| _mm256_andnot_ps(_mm256_set1_ps(-0.0), _mm256_sub_ps(x, y)),
+            |x: f32, y: f32| (x - y).abs()
+        )
+    }
+
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that all six rows have
+    /// the same length.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_tile(q: [&[f32]; 4], b: [&[f32]; 2]) -> [f32; 8] {
+        tile_4x2!(q, b, |x, y| _mm256_mul_ps(x, y), |x: f32, y: f32| x * y)
     }
 
     /// # Safety
@@ -819,6 +1009,81 @@ mod tests {
                 assert_eq!(i64::from(l1_i8_on(isa, &a, &b)), l1_wide, "{}", isa.name());
             }
         });
+    }
+
+    /// Every tile shape (1–4 query rows × 1–2 base rows) on every ISA must
+    /// equal `nq × nb` calls of the scalar per-pair kernel, bit for bit.
+    fn assert_tiles_match_scalar(rows: &[Vec<f32>], what: &str) {
+        let (q, b) = rows.split_at(TILE_QUERIES);
+        let q: Vec<&[f32]> = q.iter().map(Vec::as_slice).collect();
+        let b: Vec<&[f32]> = b.iter().map(Vec::as_slice).collect();
+        for isa in isas() {
+            for nq in 1..=TILE_QUERIES {
+                for nb in 1..=TILE_BASE {
+                    let l1 = l1_tile_on(isa, &q[..nq], &b[..nb]);
+                    let dt = dot_tile_on(isa, &q[..nq], &b[..nb]);
+                    for i in 0..TILE_QUERIES {
+                        for j in 0..TILE_BASE {
+                            let (l_ref, d_ref) = if i < nq && j < nb {
+                                (scalar::l1_distance(q[i], b[j]), scalar::dot(q[i], b[j]))
+                            } else {
+                                (0.0, 0.0)
+                            };
+                            let at = format!("{what} {} {nq}x{nb} [{i}][{j}]", isa.name());
+                            assert_eq!(l1[i][j].to_bits(), l_ref.to_bits(), "l1 tile {at}");
+                            assert_eq!(dt[i][j].to_bits(), d_ref.to_bits(), "dot tile {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_kernels_bit_identical_to_scalar_pairs() {
+        for_each_case(0x711E, 24, |rng| {
+            for dim in [1, 7, 8, 9, 64, 128, 130] {
+                let rows: Vec<Vec<f32>> = (0..TILE_QUERIES + TILE_BASE)
+                    .map(|_| gen_vec(rng, dim))
+                    .collect();
+                assert_tiles_match_scalar(&rows, &format!("dim={dim}"));
+            }
+        });
+    }
+
+    #[test]
+    fn tile_kernels_propagate_special_values_identically() {
+        // The platform's default NaN (what `0 · ∞` and `∞ − ∞` produce), so
+        // every NaN a kernel can meet carries one payload: IEEE-754 leaves
+        // the payload of `NaN + NaN` to operand order, which no kernel
+        // (nor the compiler) promises.
+        let nan = std::hint::black_box(0.0f32) * std::hint::black_box(f32::INFINITY);
+        let specials = [nan, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.5];
+        for_each_case(0x5BEC, 48, |rng| {
+            for dim in [1, 7, 8, 9, 64, 130] {
+                let rows: Vec<Vec<f32>> = (0..TILE_QUERIES + TILE_BASE)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| specials[rng.gen_range(0..specials.len())])
+                            .collect()
+                    })
+                    .collect();
+                assert_tiles_match_scalar(&rows, &format!("specials dim={dim}"));
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "tile rows must have equal length")]
+    fn tile_rejects_ragged_rows() {
+        l1_tile_on(Isa::Scalar, &[&[1.0, 2.0]], &[&[1.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 4x2")]
+    fn tile_rejects_oversized_sides() {
+        let r: &[f32] = &[0.0];
+        dot_tile_on(active_isa(), &[r], &[r, r, r]);
     }
 
     #[test]

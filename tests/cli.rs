@@ -584,3 +584,118 @@ fn unsupervised_align_runs() {
     assert!(text.contains("pseudo seeds"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `largeea <args>` with stdout on a pipe whose read end is already
+/// closed, so the first write fails with EPIPE — the deterministic version
+/// of `largeea … | head` exiting before the command is done.
+fn run_into_closed_pipe(args: &[std::ffi::OsString]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    bin()
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn every_command_survives_a_closed_stdout() {
+    let dir = tempdir("epipe");
+    let data = dir.join("data");
+    let out = bin()
+        .args([
+            "generate",
+            "--preset",
+            "ids15k-en-fr",
+            "--scale",
+            "0.01",
+            "--out",
+        ])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let (trace, ckpt, live) = (dir.join("run.json"), dir.join("ckpt"), dir.join("live"));
+    let preds = dir.join("predictions.tsv");
+    let out = bin()
+        .args(["align", "--data"])
+        .arg(&data)
+        .args(["--model", "gcn", "--k", "2", "--epochs", "5", "--dim", "16"])
+        .arg("--trace-out")
+        .arg(&trace)
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .arg("--live-dir")
+        .arg(&live)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let baseline = dir.join("baseline.json");
+    std::fs::write(
+        &baseline,
+        r#"{"schema":"largeea-bench-baseline","version":1,"config":{},"repeats":1,"stages":{"pipeline":{"median_seconds":3600.0,"min_seconds":3600.0,"max_seconds":3600.0}},"counters":{}}"#,
+    )
+    .unwrap();
+
+    let os = |parts: &[&dyn AsRef<std::ffi::OsStr>]| -> Vec<std::ffi::OsString> {
+        parts.iter().map(|p| p.as_ref().to_owned()).collect()
+    };
+    let cases = [
+        os(&[&"trace", &"summarize", &trace]),
+        os(&[&"trace", &"diff", &trace, &trace]),
+        os(&[&"trace", &"flame", &trace]),
+        os(&[&"trace", &"check", &trace, &"--baseline", &baseline]),
+        os(&[&"trace", &"tail", &live, &"--once"]),
+        // follow mode: the finished run's snapshot ends the loop at once
+        os(&[&"trace", &"tail", &live]),
+        os(&[&"trace", &"expo", &trace]),
+        os(&[&"trace", &"heap", &trace]),
+        os(&[&"trace", &"heap", &trace, &"--folded"]),
+        os(&[&"ckpt", &"inspect", &ckpt]),
+        os(&[&"failpoints", &"list"]),
+        os(&[&"stats", &"--data", &data]),
+        os(&[&"--help"]),
+        os(&[
+            &"generate",
+            &"--preset",
+            &"ids15k-en-fr",
+            &"--scale",
+            &"0.01",
+            &"--out",
+            &dir.join("data2"),
+        ]),
+        os(&[&"partition", &"--data", &data, &"--k", &"2"]),
+        os(&[
+            &"align",
+            &"--data",
+            &data,
+            &"--model",
+            &"gcn",
+            &"--k",
+            &"2",
+            &"--epochs",
+            &"2",
+            &"--dim",
+            &"8",
+            &"--out",
+            &preds,
+        ]),
+        // reads the predictions the closed-pipe `align` above still wrote
+        os(&[&"eval", &"--data", &data, &"--predictions", &preds]),
+    ];
+    for args in &cases {
+        let out = run_into_closed_pipe(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !err.contains("panicked"),
+            "{args:?} panicked on a closed stdout: {err}"
+        );
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,10 @@
 //! in-place fusion sharing the allocating path's merge kernel.
 //!
 //! Failpoint state is process-global, so the crash-mid-spill scenario runs
-//! inside one `#[test]` (the other tests never configure failpoints).
+//! inside one `#[test]` (the other tests never configure failpoints) and
+//! holds [`FAILPOINTS`] exclusively while it arms one; every other test
+//! holds it shared, so an armed failpoint can never fire inside another
+//! test's spill writes on a parallel harness thread.
 
 use largeea_common::failpoint;
 use largeea_common::obs::{ObsConfig, Recorder};
@@ -22,6 +25,12 @@ use largeea_models::{ModelKind, TrainConfig};
 use largeea_sim::SparseSimMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock};
+
+/// Keeps the failpoint-arming test apart from the spilling ones (see the
+/// module docs). It guards no data, so a lock poisoned by a failed test is
+/// taken over as is rather than failing the others.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
 
 fn cfg() -> LargeEaConfig {
     LargeEaConfig {
@@ -56,6 +65,7 @@ fn sim_bytes(m: &SparseSimMatrix) -> Vec<u8> {
 /// matrix byte for byte — across several seed splits.
 #[test]
 fn bounded_runs_are_bit_identical_to_unbounded() {
+    let _shared = FAILPOINTS.read().unwrap_or_else(PoisonError::into_inner);
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     for seed_split in [5u64, 23, 71] {
         let seeds = pair.split_seeds(0.2, seed_split);
@@ -126,6 +136,7 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
 /// path, and still cleans up its working directory.
 #[test]
 fn impossible_budget_is_a_typed_error_and_cleans_up() {
+    let _shared = FAILPOINTS.read().unwrap_or_else(PoisonError::into_inner);
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     let seeds = pair.split_seeds(0.2, 5);
     let dir = tmp("impossible");
@@ -154,6 +165,7 @@ fn impossible_budget_is_a_typed_error_and_cleans_up() {
 /// recomputation from the last checkpoint stage, never correctness.
 #[test]
 fn crash_mid_spill_resumes_bit_identically() {
+    let _exclusive = FAILPOINTS.write().unwrap_or_else(PoisonError::into_inner);
     // scenario spec must only use registered spill failpoints
     for fp in spill::FAILPOINTS {
         assert_eq!(*fp, "spill.write", "update this test for new failpoints");
@@ -200,6 +212,7 @@ fn crash_mid_spill_resumes_bit_identically() {
 /// under a budget well below the in-RAM peak, bit-identically.
 #[test]
 fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
+    let _shared = FAILPOINTS.read().unwrap_or_else(PoisonError::into_inner);
     let pair = Preset::Dbp1mCi.spec(1.0).generate();
     let seeds = pair.split_seeds(0.2, 5);
     let mut c = cfg();

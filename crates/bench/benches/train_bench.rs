@@ -2,9 +2,10 @@
 //!
 //! The cost behind Table 2/3's `Time` columns and Figure 4's "EA training"
 //! series: one full training epoch (forward + backward + Adam) for each
-//! model, plus the negative-sampling refresh.
+//! model, the steady-state cost of an epoch once the tape reuses its
+//! buffers, plus the negative-sampling refresh.
 
-use largeea_common::bench::Bench;
+use largeea_common::bench::{Bench, Bencher};
 use largeea_data::Preset;
 use largeea_models::negative::{sample_negatives, NegStrategy};
 use largeea_models::{train, BatchGraph, ModelKind, TrainConfig};
@@ -42,6 +43,53 @@ fn bench_epochs(bench: &mut Bench) {
     group.finish();
 }
 
+/// A training run of `epochs` epochs on a fresh model. Negatives are
+/// sampled once, at epoch 0, so every later epoch does the same work.
+fn train_epochs(bg: &BatchGraph, kind: ModelKind, epochs: usize) -> impl FnMut(&mut Bencher) + '_ {
+    move |b| {
+        b.iter(|| {
+            let mut model = kind.build(bg, 64, 3);
+            let cfg = TrainConfig {
+                epochs,
+                dim: 64,
+                neg_refresh: epochs,
+                ..TrainConfig::default()
+            };
+            train(model.as_mut(), bg, &cfg)
+        })
+    }
+}
+
+fn bench_steady_epochs(bench: &mut Bench) {
+    // A 1-epoch run pays for model setup, the negatives and the epoch that
+    // fills the tape's free-list; every later epoch reuses its buffers.
+    // The difference between an 11-epoch and a 1-epoch run, over 10, is
+    // the steady-state cost of one epoch.
+    const EPOCHS: usize = 11;
+    let bg = batch_graph();
+    let mut group = bench.group("table2_training_epoch");
+    for kind in [ModelKind::GcnAlign, ModelKind::Rrea] {
+        let one = group.bench_measured(
+            format!("{kind:?}_750pairs_1epoch_fixed_negs"),
+            train_epochs(&bg, kind, 1),
+        );
+        let many = group.bench_measured(
+            format!("{kind:?}_750pairs_{EPOCHS}epochs_fixed_negs"),
+            train_epochs(&bg, kind, EPOCHS),
+        );
+        if let (Some(one), Some(many)) = (one, many) {
+            let per_epoch_ms = (many.median_ns - one.median_ns) / (EPOCHS - 1) as f64 / 1e6;
+            println!(
+                "{:<40} median {:>9.3} ms/epoch  ({EPOCHS}-epoch minus 1-epoch median, / {})",
+                format!("table2_training_epoch/{kind:?}_750pairs_steady"),
+                per_epoch_ms,
+                EPOCHS - 1
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_negative_sampling(bench: &mut Bench) {
     // Ablation D5: nearest-neighbour vs random negatives.
     let bg = batch_graph();
@@ -70,5 +118,6 @@ fn bench_negative_sampling(bench: &mut Bench) {
 fn main() {
     let mut bench = Bench::new().sample_size(10);
     bench_epochs(&mut bench);
+    bench_steady_epochs(&mut bench);
     bench_negative_sampling(&mut bench);
 }

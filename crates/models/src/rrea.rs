@@ -93,8 +93,8 @@ impl EaModel for Rrea {
     }
 
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
-        let ent = tape.param(self.store.get(self.ent).clone());
-        let rel = tape.param(self.store.get(self.rel).clone());
+        let ent = tape.param(self.store.get(self.ent));
+        let rel = tape.param(self.store.get(self.rel));
         let rel_norm = tape.l2_normalize_rows(rel, 1e-9);
 
         let h0 = tape.l2_normalize_rows(ent, 1e-9);

@@ -1,6 +1,6 @@
 //! The mini-batch training loop (paper §2.2.2).
 //!
-//! Every epoch rebuilds the autograd tape, runs the model forward, scores
+//! Every epoch resets the batch's autograd tape, runs the model forward, scores
 //! the batch's seed pairs with the margin-based triplet loss
 //! `Σ [f_p(h_s, h_t) + γ − f_n]₊` (distances are Manhattan, negatives come
 //! from nearest-neighbour sampling refreshed periodically, as in RREA), and
@@ -177,58 +177,61 @@ pub fn train_hooked(
     let mut adam = Adam::new(adam_cfg, model.store());
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut peak_bytes = model.store().nbytes() + adam.nbytes();
+    // One tape for the whole batch: every pass below starts with a reset,
+    // so from the second epoch on each op reuses a buffer of the last one.
+    let mut tape = Tape::new();
 
     if bg.train_pairs.is_empty() || cfg.epochs == 0 {
-        let mut tape = Tape::new();
         let fp = model.forward(&mut tape);
         return TrainReport {
-            embeddings: tape.value(fp.embeddings).clone(),
+            embeddings: tape.into_value(fp.embeddings),
             losses,
             peak_bytes,
         };
     }
 
-    let mut negatives = None;
+    // Index arrays: each positive repeated once per negative. The positive
+    // side is fixed for the batch; the negative side changes on refresh.
+    let n_neg = cfg.neg_samples.max(1);
+    let p = bg.train_pairs.len();
+    let mut s_rep = Vec::with_capacity(p * n_neg);
+    let mut t_rep = Vec::with_capacity(p * n_neg);
+    for &(s, t) in &bg.train_pairs {
+        s_rep.extend(std::iter::repeat_n(s, n_neg));
+        t_rep.extend(std::iter::repeat_n(t, n_neg));
+    }
+    let (s_rep, t_rep) = (Rc::new(s_rep), Rc::new(t_rep));
+    let (mut neg_t, mut neg_s) = (Rc::default(), Rc::default());
+    let mut grads: Vec<Option<Matrix>> = vec![None; model.store().len()];
+
     for epoch in 0..cfg.epochs {
         let mut epoch_span = rec.span_at(Level::Trace, "epoch");
         epoch_span.field("epoch", epoch);
-        // Refresh negatives periodically (needs current embeddings).
-        if negatives.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
+        // Refresh negatives periodically (needs current embeddings); epoch
+        // 0 always refreshes.
+        if epoch % cfg.neg_refresh.max(1) == 0 {
             rec.add("train.negatives_resampled", 1);
-            let emb = {
-                let mut tape = Tape::new();
-                let fp = model.forward(&mut tape);
-                tape.value(fp.embeddings).clone()
-            };
-            negatives = Some(sample_negatives(
+            tape.reset();
+            let fp = model.forward(&mut tape);
+            let negs = sample_negatives(
                 bg,
-                &emb,
+                tape.value(fp.embeddings),
                 cfg.neg_samples,
                 cfg.neg_strategy,
                 cfg.seed.wrapping_add(epoch as u64),
-            ));
-        }
-        let negs = negatives.as_ref().expect("negatives generated above");
-
-        // Index arrays: each positive repeated once per negative.
-        let n_neg = cfg.neg_samples.max(1);
-        let p = bg.train_pairs.len();
-        let mut s_rep = Vec::with_capacity(p * n_neg);
-        let mut t_rep = Vec::with_capacity(p * n_neg);
-        let mut neg_t = Vec::with_capacity(p * n_neg);
-        let mut neg_s = Vec::with_capacity(p * n_neg);
-        for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
-            for ni in 0..n_neg {
-                s_rep.push(s);
-                t_rep.push(t);
-                neg_t.push(negs.corrupt_target[pi][ni % negs.corrupt_target[pi].len()]);
-                neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
+            );
+            let mut nt = Vec::with_capacity(p * n_neg);
+            let mut ns = Vec::with_capacity(p * n_neg);
+            for (ct, cs) in negs.corrupt_target.iter().zip(&negs.corrupt_source) {
+                for ni in 0..n_neg {
+                    nt.push(ct[ni % ct.len()]);
+                    ns.push(cs[ni % cs.len()]);
+                }
             }
+            (neg_t, neg_s) = (Rc::new(nt), Rc::new(ns));
         }
-        let (s_rep, t_rep) = (Rc::new(s_rep), Rc::new(t_rep));
-        let (neg_t, neg_s) = (Rc::new(neg_t), Rc::new(neg_s));
 
-        let mut tape = Tape::new();
+        tape.reset();
         let fp = model.forward(&mut tape);
         let emb = fp.embeddings;
         let es = tape.gather_rows(emb, Rc::clone(&s_rep));
@@ -258,11 +261,8 @@ pub fn train_hooked(
         let epoch_loss = tape.scalar(loss);
         losses.push(epoch_loss);
 
-        let mut grads: Vec<Option<Matrix>> = vec![None; model.store().len()];
         for &(pid, var) in &fp.params {
-            if let Some(g) = tape.grad(var) {
-                grads[pid.index()] = Some(g.clone());
-            }
+            grads[pid.index()] = tape.take_grad(var);
         }
         if rec.is_enabled() {
             // ‖g‖₂ over all parameters — only worth the flops when recorded.
@@ -279,6 +279,9 @@ pub fn train_hooked(
             rec.observe("train.epoch_loss", epoch_loss as f64);
         }
         adam.step(model.store_mut(), &grads);
+        for g in grads.iter_mut().filter_map(Option::take) {
+            tape.recycle(g);
+        }
         peak_bytes = peak_bytes.max(model.store().nbytes() + adam.nbytes());
         if let Some(h) = hook.as_deref_mut() {
             h(epoch, epoch_loss);
@@ -286,10 +289,10 @@ pub fn train_hooked(
     }
     rec.gauge_max("train.peak_bytes", peak_bytes as f64);
 
-    let mut tape = Tape::new();
+    tape.reset();
     let fp = model.forward(&mut tape);
     TrainReport {
-        embeddings: tape.value(fp.embeddings).clone(),
+        embeddings: tape.into_value(fp.embeddings),
         losses,
         peak_bytes,
     }

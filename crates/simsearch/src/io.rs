@@ -36,7 +36,23 @@ pub fn write_sparse_sim<W: Write>(m: &SparseSimMatrix, mut w: W) -> io::Result<(
 }
 
 /// Reads a matrix previously written by [`write_sparse_sim`].
-pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
+///
+/// Malformed input (bad magic, truncation, an out-of-range column) is an
+/// [`io::ErrorKind::InvalidData`] error, never a panic. Rows are built as
+/// their bytes arrive, so a header promising more rows or entries than the
+/// input holds fails at the end of the input instead of allocating for the
+/// promise.
+pub fn read_sparse_sim<R: Read>(r: R) -> io::Result<SparseSimMatrix> {
+    read_sparse_sim_body(r).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated LEAS1 file: {e}"),
+        ),
+        _ => e,
+    })
+}
+
+fn read_sparse_sim_body<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
     let mut magic = [0u8; 6];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -50,10 +66,11 @@ pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
     let n_rows = u64::from_le_bytes(n) as usize;
     r.read_exact(&mut n)?;
     let n_cols = u64::from_le_bytes(n) as usize;
-    let mut m = SparseSimMatrix::new(n_rows, n_cols);
+    let mut m = SparseSimMatrix::new(0, n_cols);
     let mut entry = [0u8; 8];
     for row in 0..n_rows {
         r.read_exact(&mut n)?;
+        m.push_row();
         let len = u64::from_le_bytes(n) as usize;
         for _ in 0..len {
             r.read_exact(&mut entry)?;

@@ -39,6 +39,11 @@ impl SparseSimMatrix {
         }
     }
 
+    /// Appends an empty row (readers grow a matrix as its rows arrive).
+    pub(crate) fn push_row(&mut self) {
+        self.rows.push(Vec::new());
+    }
+
     /// Builds from per-row top-k hit lists (as returned by
     /// [`crate::topk::topk_search`]); duplicate columns accumulate.
     pub fn from_topk(n_cols: usize, hits: Vec<Vec<(u32, f32)>>) -> Self {

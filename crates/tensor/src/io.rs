@@ -28,7 +28,22 @@ pub fn write_matrix<W: Write>(m: &Matrix, mut w: W) -> io::Result<()> {
 }
 
 /// Reads a matrix previously written by [`write_matrix`].
-pub fn read_matrix<R: Read>(mut r: R) -> io::Result<Matrix> {
+///
+/// Malformed input (bad magic, a shape whose byte size overflows, data
+/// shorter than the shape promises) is an [`io::ErrorKind::InvalidData`]
+/// error, never a panic, and the reader allocates no more than the input
+/// actually supplies.
+pub fn read_matrix<R: Read>(r: R) -> io::Result<Matrix> {
+    read_matrix_body(r).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated LEAM1 file: {e}"),
+        ),
+        _ => e,
+    })
+}
+
+fn read_matrix_body<R: Read>(mut r: R) -> io::Result<Matrix> {
     let mut magic = [0u8; 6];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -42,11 +57,23 @@ pub fn read_matrix<R: Read>(mut r: R) -> io::Result<Matrix> {
     let rows = u64::from_le_bytes(n) as usize;
     r.read_exact(&mut n)?;
     let cols = u64::from_le_bytes(n) as usize;
-    let elems = rows
+    let bytes = rows
         .checked_mul(cols)
+        .and_then(|elems| elems.checked_mul(4))
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "matrix dimensions overflow"))?;
-    let mut buf = vec![0u8; elems * 4];
-    r.read_exact(&mut buf)?;
+    // The header is untrusted: grow the buffer as bytes actually arrive
+    // instead of allocating what it promises up front.
+    let mut buf = Vec::new();
+    r.take(bytes as u64).read_to_end(&mut buf)?;
+    if buf.len() != bytes {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "matrix data truncated: {rows}x{cols} needs {bytes} bytes, got {}",
+                buf.len()
+            ),
+        ));
+    }
     let data = buf
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))

@@ -58,6 +58,23 @@ impl Matrix {
         }
     }
 
+    /// A `rows × cols` matrix of zeros in `buf`'s allocation. Whatever `buf`
+    /// held is discarded; a `buf` too small for the shape is dropped for a
+    /// fresh zeroed allocation.
+    pub fn zeros_in(rows: usize, cols: usize, mut buf: Vec<f32>) -> Self {
+        let len = rows * cols;
+        if buf.capacity() < len {
+            return Self::zeros(rows, cols);
+        }
+        buf.clear();
+        buf.resize(len, 0.0);
+        Self {
+            rows,
+            cols,
+            data: buf,
+        }
+    }
+
     /// Builds a matrix from an existing buffer (length must be `rows*cols`).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(
@@ -129,6 +146,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The backing buffer, row-major — hands the allocation on for reuse.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Matrix product `self @ other` — cache-blocked and parallel over
     /// output-row blocks on the global pool.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -157,6 +179,16 @@ impl Matrix {
     /// bit-identical to it by the §S0.11 contract (and falls back to
     /// scalar when the hardware lacks it).
     pub fn matmul_on(&self, other: &Matrix, pool: &Pool, isa: Isa) -> Matrix {
+        self.matmul_into_on(other, Vec::new(), pool, isa)
+    }
+
+    /// [`Matrix::matmul`] written into `buf`'s allocation (see
+    /// [`Matrix::zeros_in`]) — the autograd tape's recycled-buffer form.
+    pub fn matmul_into(&self, other: &Matrix, buf: Vec<f32>) -> Matrix {
+        self.matmul_into_on(other, buf, Pool::global(), kernels::active_isa())
+    }
+
+    fn matmul_into_on(&self, other: &Matrix, buf: Vec<f32>, pool: &Pool, isa: Isa) -> Matrix {
         assert_eq!(
             self.cols,
             other.rows,
@@ -164,7 +196,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        let mut out = Matrix::zeros_in(self.rows, other.cols, buf);
         let m = other.cols;
         let k_dim = self.cols;
         if self.rows == 0 || m == 0 || k_dim == 0 {
@@ -183,9 +215,14 @@ impl Matrix {
     /// accesses cache-resident (the naive loop does strided column writes),
     /// parallel over output-row bands on the global pool.
     pub fn transpose(&self) -> Matrix {
+        self.transpose_into(Vec::new())
+    }
+
+    /// [`Matrix::transpose`] written into `buf`'s allocation.
+    pub fn transpose_into(&self, buf: Vec<f32>) -> Matrix {
         const TILE: usize = 32;
         let (rows, cols) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(cols, rows);
+        let mut out = Matrix::zeros_in(cols, rows, buf);
         if rows == 0 || cols == 0 {
             return out;
         }
@@ -290,11 +327,16 @@ impl Matrix {
 
     /// Copies the rows of `self` selected by `indices` into a new matrix.
     pub fn gather_rows(&self, indices: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src as usize));
+        self.gather_rows_into(indices, Vec::with_capacity(indices.len() * self.cols))
+    }
+
+    /// [`Matrix::gather_rows`] written into `buf`'s allocation.
+    pub fn gather_rows_into(&self, indices: &[u32], mut buf: Vec<f32>) -> Matrix {
+        buf.clear();
+        for &src in indices {
+            buf.extend_from_slice(self.row(src as usize));
         }
-        out
+        Matrix::from_vec(indices.len(), self.cols, buf)
     }
 
     /// Vertically stacks `self` on top of `other` (column counts must match).
@@ -308,13 +350,21 @@ impl Matrix {
 
     /// Horizontally concatenates `self` with `other` (row counts must match).
     pub fn hstack(&self, other: &Matrix) -> Matrix {
+        self.hstack_into(
+            other,
+            Vec::with_capacity(self.rows * (self.cols + other.cols)),
+        )
+    }
+
+    /// [`Matrix::hstack`] written into `buf`'s allocation.
+    pub fn hstack_into(&self, other: &Matrix, mut buf: Vec<f32>) -> Matrix {
         assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
+        buf.clear();
         for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
+            buf.extend_from_slice(self.row(r));
+            buf.extend_from_slice(other.row(r));
         }
-        out
+        Matrix::from_vec(self.rows, self.cols + other.cols, buf)
     }
 
     /// Maximum absolute element (0 for the empty matrix).
@@ -337,7 +387,8 @@ fn matmul_block(
     isa: Isa,
 ) {
     let nrows = block.len() / m;
-    let mut panel = vec![0.0f32; KC.min(k_dim) * NC.min(m)];
+    // Packing scratch, allocated only when B is wider than one panel.
+    let mut panel = Vec::new();
     for kc in (0..k_dim).step_by(KC) {
         let kc_len = KC.min(k_dim - kc);
         for jc in (0..m).step_by(NC) {
@@ -346,6 +397,9 @@ fn matmul_block(
                 // The whole row band of B is already contiguous.
                 &b[kc * m..(kc + kc_len) * m]
             } else {
+                if panel.is_empty() {
+                    panel = vec![0.0f32; KC.min(k_dim) * NC.min(m)];
+                }
                 for (dst, kk) in panel.chunks_mut(nc_len).zip(0..kc_len) {
                     let src = (kc + kk) * m + jc;
                     dst.copy_from_slice(&b[src..src + nc_len]);

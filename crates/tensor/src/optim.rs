@@ -1,8 +1,8 @@
 //! Optimisers over a [`ParamStore`].
 //!
-//! Parameters persist across optimisation steps while the autograd tape is
+//! Parameters persist across optimisation steps while the autograd graph is
 //! rebuilt each step (define-by-run). The store owns the parameter matrices;
-//! the model loads them onto a fresh [`Tape`] every step, runs backward, and
+//! the model copies them onto a reset [`Tape`] every step, runs backward, and
 //! hands the gradients back to the optimiser.
 //!
 //! [`Tape`]: crate::autograd::Tape
@@ -191,13 +191,13 @@ mod tests {
         let id = store.register("x", Matrix::zeros(1, 3));
         for step in 0..400 {
             let mut tape = Tape::new();
-            let x = tape.param(store.get(id).clone());
-            let t = tape.constant(target.clone());
+            let x = tape.param(store.get(id));
+            let t = tape.constant(&target);
             let d = tape.sub(x, t);
             let sq = tape.mul_elem(d, d);
             let loss = tape.sum_all(sq);
             tape.backward(loss);
-            let g = tape.grad(x).unwrap().clone();
+            let g = tape.take_grad(x).unwrap();
             optimise(&mut store, &[Some(g)], step);
         }
         store.get(id).sub(&target).frobenius()

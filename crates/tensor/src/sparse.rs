@@ -168,6 +168,16 @@ impl SparseMatrix {
     /// its non-zeros in CSR (ascending-column) order, so results are
     /// bit-identical for any thread count.
     pub fn spmm_in(&self, dense: &Matrix, pool: &Pool) -> Matrix {
+        self.spmm_into_on(dense, Vec::new(), pool)
+    }
+
+    /// [`SparseMatrix::spmm`] written into `buf`'s allocation (see
+    /// [`Matrix::zeros_in`]) — the autograd tape's recycled-buffer form.
+    pub fn spmm_into(&self, dense: &Matrix, buf: Vec<f32>) -> Matrix {
+        self.spmm_into_on(dense, buf, Pool::global())
+    }
+
+    fn spmm_into_on(&self, dense: &Matrix, buf: Vec<f32>, pool: &Pool) -> Matrix {
         assert_eq!(
             self.cols,
             dense.rows(),
@@ -177,7 +187,7 @@ impl SparseMatrix {
             dense.shape()
         );
         let cols = dense.cols();
-        let mut out = Matrix::zeros(self.rows, cols);
+        let mut out = Matrix::zeros_in(self.rows, cols, buf);
         if cols == 0 {
             return out;
         }

@@ -51,6 +51,19 @@ fi
   --checkpoint-dir "$SMOKE/ckpt_crash" --resume --sim-out "$SMOKE/resumed.sim" > /dev/null
 cmp "$SMOKE/base.sim" "$SMOKE/resumed.sim"
 "$L" ckpt inspect "$SMOKE/ckpt_crash" > /dev/null
+# the same for RREA, killed after the first batch's embeddings are durable,
+# so the resume reads them back and retrains only the second batch
+"$L" align --data "$SMOKE/data" --model rrea --k 2 --epochs 8 --dim 16 \
+  --sim-out "$SMOKE/rrea_base.sim" > /dev/null
+if LARGEEA_FAILPOINTS=ckpt.emb=panic@2 "$L" align --data "$SMOKE/data" \
+  --model rrea --k 2 --epochs 8 --dim 16 \
+  --checkpoint-dir "$SMOKE/ckpt_rrea" > /dev/null 2>&1; then
+  echo "crash smoke: injected failpoint did not kill the RREA run" >&2
+  exit 1
+fi
+"$L" align --data "$SMOKE/data" --model rrea --k 2 --epochs 8 --dim 16 \
+  --checkpoint-dir "$SMOKE/ckpt_rrea" --resume --sim-out "$SMOKE/rrea_resumed.sim" > /dev/null
+cmp "$SMOKE/rrea_base.sim" "$SMOKE/rrea_resumed.sim"
 
 echo "== mem-budget smoke =="
 # a tightly bounded run must spill, succeed, and reproduce base.sim
@@ -64,6 +77,10 @@ if [ -d "$SMOKE/spill" ]; then
   echo "mem smoke: spill dir was not cleaned up" >&2
   exit 1
 fi
+"$L" align --data "$SMOKE/data" --model rrea --k 2 --epochs 8 --dim 16 \
+  --mem-budget 16M --spill-dir "$SMOKE/spill_rrea" \
+  --sim-out "$SMOKE/rrea_bounded.sim" > /dev/null
+cmp "$SMOKE/rrea_base.sim" "$SMOKE/rrea_bounded.sim"
 if "$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
   --mem-budget 16K > /dev/null 2>&1; then
   echo "mem smoke: impossible budget did not fail" >&2

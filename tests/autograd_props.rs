@@ -34,7 +34,9 @@ const EXPRS: [Expr; 5] = [
 fn build(expr: Expr, tape: &mut Tape, p: largeea::tensor::Var) -> largeea::tensor::Var {
     match expr {
         Expr::MatmulRelu => {
-            let c = tape.constant(Matrix::from_fn(3, 3, |r, c| ((r + 2 * c) % 3) as f32 - 1.0));
+            let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| {
+                ((r + 2 * c) % 3) as f32 - 1.0
+            }));
             let h = tape.matmul(p, c);
             let h = tape.relu(h);
             tape.sum_all(h)
@@ -49,7 +51,7 @@ fn build(expr: Expr, tape: &mut Tape, p: largeea::tensor::Var) -> largeea::tenso
         }
         Expr::NormalizeDot => {
             let n = tape.l2_normalize_rows(p, 1e-6);
-            let c = tape.constant(Matrix::from_fn(3, 3, |r, c| (r * c) as f32 * 0.1 + 0.2));
+            let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| (r * c) as f32 * 0.1 + 0.2));
             let d = tape.row_dot(n, c);
             tape.sum_all(d)
         }
@@ -59,7 +61,7 @@ fn build(expr: Expr, tape: &mut Tape, p: largeea::tensor::Var) -> largeea::tenso
             tape.mean_all(s)
         }
         Expr::HStackMul => {
-            let c = tape.constant(Matrix::from_fn(3, 3, |r, c| ((r + c) % 2) as f32 - 0.5));
+            let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| ((r + c) % 2) as f32 - 0.5));
             let h = tape.hstack(p, c);
             let hh = tape.mul_elem(h, h);
             tape.sum_all(hh)
@@ -73,7 +75,7 @@ fn gradients_match_finite_differences() {
         let p0 = random_param(rng, 3, 3);
         let expr = EXPRS[rng.gen_range(0..EXPRS.len())];
         let mut tape = Tape::new();
-        let p = tape.param(p0.clone());
+        let p = tape.param(&p0);
         let loss = build(expr, &mut tape, p);
         tape.backward(loss);
         let analytic = tape.grad(p).expect("param requires grad").clone();
@@ -86,7 +88,7 @@ fn gradients_match_finite_differences() {
                 let mut m = p0.clone();
                 m.as_mut_slice()[idx] += delta;
                 let mut t = Tape::new();
-                let v = t.param(m);
+                let v = t.param(&m);
                 let l = build(expr, &mut t, v);
                 t.scalar(l)
             };

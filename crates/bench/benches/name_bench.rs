@@ -5,8 +5,9 @@
 //! lookup, and Levenshtein distance.
 
 use largeea_common::bench::Bench;
+use largeea_common::obs::Recorder;
 use largeea_data::Preset;
-use largeea_sim::{segmented_topk, Metric};
+use largeea_sim::{segmented_topk_traced, Metric};
 use largeea_text::jaccard::shingles;
 use largeea_text::{levenshtein, HashEncoder, LshIndex, MinHasher};
 
@@ -25,7 +26,16 @@ fn bench_sens(bench: &mut Bench) {
     let emb = encoder.encode_batch(&names);
     for segments in [1usize, 4] {
         group.bench_function(format!("segmented_topk50_1000x1000/{segments}"), |b| {
-            b.iter(|| segmented_topk(&emb, &emb, 50, Metric::Manhattan, segments))
+            b.iter(|| {
+                segmented_topk_traced(
+                    &emb,
+                    &emb,
+                    50,
+                    Metric::Manhattan,
+                    segments,
+                    &Recorder::disabled(),
+                )
+            })
         });
     }
     group.finish();
@@ -76,26 +86,9 @@ fn bench_topk_retention(bench: &mut Bench) {
     let mut group = bench.group("ablation_d3_topk_phi");
     for k in [10usize, 50, 200] {
         group.bench_function(k, |b| {
-            b.iter(|| segmented_topk(&emb, &emb, k, Metric::Manhattan, 4))
-        });
-    }
-    group.finish();
-}
-
-fn bench_ivf_vs_exact(bench: &mut Bench) {
-    // The Faiss-substitute trade-off: exact brute force vs IVF probing.
-    use largeea_sim::IvfIndex;
-    let names = labels(1000);
-    let encoder = HashEncoder::new(128, 42);
-    let emb = encoder.encode_batch(&names);
-    let mut group = bench.group("sens_ivf_vs_exact");
-    group.bench_function("exact_1000x1000", |b| {
-        b.iter(|| largeea_sim::topk_search(&emb, &emb, 50, Metric::Manhattan))
-    });
-    let idx = IvfIndex::build(emb.clone(), 16, 10, 7, Metric::Manhattan);
-    for nprobe in [2usize, 8] {
-        group.bench_function(format!("ivf_nprobe/{nprobe}"), |b| {
-            b.iter(|| idx.search(&emb, 50, nprobe))
+            b.iter(|| {
+                segmented_topk_traced(&emb, &emb, k, Metric::Manhattan, 4, &Recorder::disabled())
+            })
         });
     }
     group.finish();
@@ -106,5 +99,4 @@ fn main() {
     bench_sens(&mut bench);
     bench_stns(&mut bench);
     bench_topk_retention(&mut bench);
-    bench_ivf_vs_exact(&mut bench);
 }

@@ -11,8 +11,10 @@
 
 use largeea_bench::{arg_f64, arg_usize, harness_train_config, maybe_write_trace};
 use largeea_common::obs::Recorder;
+use largeea_core::mem::MemTracker;
 use largeea_core::report::{print_series, Series};
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
+use largeea_core::supervisor::Supervision;
 use largeea_core::{NameChannel, NameChannelConfig};
 use largeea_data::Preset;
 use largeea_models::ModelKind;
@@ -35,11 +37,10 @@ fn main() {
         eprintln!("[fig4] scale {scale}: {entities} entities");
 
         let rec = Recorder::from_env();
-        let name_out = NameChannel::new(NameChannelConfig::default()).run_traced(
-            &pair.source,
-            &pair.target,
-            &rec,
-        );
+        let mut mem = MemTracker::new();
+        let name_out = NameChannel::new(NameChannelConfig::default())
+            .run_bounded(&pair.source, &pair.target, &rec, &mut mem, None)
+            .expect("an unbudgeted in-RAM name channel has no failure mode");
         let sc = StructureChannel::new(StructureChannelConfig {
             k: preset.default_k(),
             partitioner: Partitioner::MetisCps,
@@ -48,7 +49,19 @@ fn main() {
             top_k: 50,
             ..StructureChannelConfig::default()
         });
-        let out = sc.run_traced(&pair, &seeds, &rec);
+        let out = sc
+            .run_bounded(
+                &pair,
+                &seeds,
+                &rec,
+                None,
+                0,
+                &mut mem,
+                None,
+                &Supervision::default(),
+            )
+            .expect("an unbudgeted in-RAM structure channel has no failure mode");
+        mem.record_into(&rec);
         maybe_write_trace(&format!("fig4.scale-{scale}"), &rec.trace());
 
         xs.push(entities);

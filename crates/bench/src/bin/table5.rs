@@ -11,6 +11,7 @@
 
 use largeea_bench::make_dataset;
 use largeea_common::json::{Json, ToJson};
+use largeea_common::obs::Recorder;
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea_data::Preset;
 use largeea_kg::AlignmentSeeds;
@@ -72,7 +73,7 @@ fn main() {
                     partitioner,
                     ..StructureChannelConfig::default()
                 };
-                let batches = StructureChannel::new(cfg).make_batches(p, s);
+                let batches = StructureChannel::new(cfg).make_batches(p, s, &Recorder::disabled());
                 let r = batches.retention(s);
                 println!(
                     "{:<18} {:<10} {:<8} {:>7.1} {:>7.1} {:>7.1}",

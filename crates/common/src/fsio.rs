@@ -31,7 +31,7 @@
 use crate::failpoint::{self, FpAction};
 use crate::retry::{self, RetryPolicy, RetryStats};
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Frame magic: LargeEA Framed v1.
@@ -281,9 +281,7 @@ pub fn read_framed_retry(
 /// mismatch all yield `InvalidData` errors naming the path; a missing file
 /// keeps its `NotFound` kind so callers can distinguish absent from torn.
 pub fn read_framed(path: &Path) -> io::Result<Vec<u8>> {
-    let mut f = File::open(path).map_err(|e| ctx(path, e))?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf).map_err(|e| ctx(path, e))?;
+    let mut buf = fs::read(path).map_err(|e| ctx(path, e))?;
     if buf.len() < HEADER_LEN {
         return Err(corrupt(
             path,
@@ -313,7 +311,9 @@ pub fn read_framed(path: &Path) -> io::Result<Vec<u8>> {
     if crc32(payload) != stored_crc {
         return Err(corrupt(path, "checksum mismatch (torn or corrupted write)"));
     }
-    Ok(payload.to_vec())
+    // the file buffer becomes the payload: the header is dropped in place
+    buf.drain(..HEADER_LEN);
+    Ok(buf)
 }
 
 #[cfg(test)]

@@ -144,6 +144,27 @@ pub struct RunMeta {
     pub rounds: u64,
 }
 
+impl RunMeta {
+    /// `Ok` when `self` (what a manifest recorded) matches `current`, else
+    /// the first differing field as [`CkptError::Mismatch`].
+    pub fn check(&self, current: &RunMeta) -> Result<(), CkptError> {
+        for (field, manifest, current) in [
+            ("config_hash", self.config_hash, current.config_hash),
+            ("seed", self.seed, current.seed),
+            ("rounds", self.rounds, current.rounds),
+        ] {
+            if manifest != current {
+                return Err(CkptError::Mismatch {
+                    field,
+                    manifest,
+                    current,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A live checkpoint directory: the manifest's completed-stage set plus the
 /// artifact read/write machinery.
 #[derive(Debug)]
@@ -244,46 +265,28 @@ impl Checkpoint {
         self.dir.join(format!("{key}.ckpt"))
     }
 
-    /// The failpoint guarding the write of `key`'s artifact.
+    /// The failpoint guarding the write of `key`'s artifact: `ckpt.<kind>`
+    /// for a key whose last dot-separated part is `<kind>` (`name`,
+    /// `r0.partition`, `r0.b1.emb`, …).
     fn fp_for(key: &str) -> &'static str {
-        if key == "name" {
-            "ckpt.name"
-        } else if key == "fused" {
-            "ckpt.fused"
-        } else if key.ends_with(".partition") {
-            "ckpt.partition"
-        } else if key.ends_with(".emb") {
-            "ckpt.emb"
-        } else if key.ends_with(".sim") {
-            "ckpt.sim"
-        } else if key.ends_with(".ms") {
-            "ckpt.ms"
-        } else {
-            "ckpt.write"
-        }
+        let kind = key.rsplit('.').next();
+        let fp = FAILPOINTS
+            .iter()
+            .find(|fp| fp.strip_prefix("ckpt.") == kind);
+        fp.copied().unwrap_or("ckpt.write")
     }
 
     fn manifest_json(&self) -> Json {
         // `quarantined` is additive within version 1: readers that predate
         // it ignore unknown fields, and a missing array parses as empty.
+        let strs = |set: &BTreeSet<String>| Json::Arr(set.iter().cloned().map(Json::Str).collect());
         Json::obj([
             ("version", Json::UInt(MANIFEST_VERSION)),
             ("config_hash", Json::UInt(self.meta.config_hash)),
             ("seed", Json::UInt(self.meta.seed)),
             ("rounds", Json::UInt(self.meta.rounds)),
-            (
-                "stages",
-                Json::Arr(self.stages.iter().map(|s| Json::Str(s.clone())).collect()),
-            ),
-            (
-                "quarantined",
-                Json::Arr(
-                    self.quarantined
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
+            ("stages", strs(&self.stages)),
+            ("quarantined", strs(&self.quarantined)),
         ])
     }
 
@@ -303,38 +306,25 @@ impl Checkpoint {
         if field("version")? != MANIFEST_VERSION {
             return Err(ManifestIssue::Corrupt("unknown manifest version".into()));
         }
-        for (name, current) in [
-            ("config_hash", meta.config_hash),
-            ("seed", meta.seed),
-            ("rounds", meta.rounds),
-        ] {
-            let manifest = field(name)?;
-            if manifest != current {
-                return Err(ManifestIssue::Mismatch(CkptError::Mismatch {
-                    field: name,
-                    manifest,
-                    current,
-                }));
-            }
-        }
-        let stages = j
-            .get("stages")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ManifestIssue::Corrupt("missing stages".into()))?
-            .iter()
-            .filter_map(|s| s.as_str().map(str::to_owned))
-            .collect();
-        // Additive field: absent in manifests written before degradation
-        // support existed, so a missing array is simply empty.
-        let quarantined = j
-            .get("quarantined")
-            .and_then(Json::as_arr)
-            .map(|arr| {
+        let recorded = RunMeta {
+            config_hash: field("config_hash")?,
+            seed: field("seed")?,
+            rounds: field("rounds")?,
+        };
+        recorded.check(&meta).map_err(ManifestIssue::Mismatch)?;
+        let strs = |name| -> Option<BTreeSet<String>> {
+            let arr = j.get(name)?.as_arr()?;
+            Some(
                 arr.iter()
                     .filter_map(|s| s.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default();
+                    .collect(),
+            )
+        };
+        let stages =
+            strs("stages").ok_or_else(|| ManifestIssue::Corrupt("missing stages".into()))?;
+        // Additive field: absent in manifests written before degradation
+        // support existed, so a missing array is simply empty.
+        let quarantined = strs("quarantined").unwrap_or_default();
         Ok((stages, quarantined))
     }
 
@@ -372,19 +362,24 @@ impl Checkpoint {
         self.mark_done(key, rec)
     }
 
-    /// Loads `key`'s artifact payload if the stage completed. A corrupt
-    /// artifact (CRC failure, bad payload) unmarks the stage and returns
-    /// `None` so the caller recomputes it.
-    fn load(&mut self, key: &str, rec: &Recorder) -> Option<Vec<u8>> {
+    /// Loads and `decode`s `key`'s artifact if the stage completed. A
+    /// corrupt artifact (CRC failure, bad payload) unmarks the stage and
+    /// returns `None` so the caller recomputes it.
+    fn load<T>(
+        &mut self,
+        key: &str,
+        rec: &Recorder,
+        decode: impl FnOnce(&[u8]) -> io::Result<T>,
+    ) -> Option<T> {
         if !self.is_done(key) {
             return None;
         }
         let mut span = rec.span_at(Level::Detail, "ckpt_load");
         span.field("stage", key);
-        match fsio::read_framed(&self.artifact_path(key)) {
-            Ok(payload) => {
+        match fsio::read_framed(&self.artifact_path(key)).and_then(|p| decode(&p)) {
+            Ok(artifact) => {
                 rec.add("ckpt.resume_skipped_stages", 1);
-                Some(payload)
+                Some(artifact)
             }
             Err(e) => {
                 self.discard(key, rec, &e.to_string());
@@ -414,14 +409,7 @@ impl Checkpoint {
 
     /// Loads a checkpointed dense matrix, or `None` to recompute.
     pub fn load_matrix(&mut self, key: &str, rec: &Recorder) -> Option<Matrix> {
-        let payload = self.load(key, rec)?;
-        match largeea_tensor::io::read_matrix(&payload[..]) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                self.discard(key, rec, &e.to_string());
-                None
-            }
-        }
+        self.load(key, rec, |p| largeea_tensor::io::read_matrix(p))
     }
 
     /// Checkpoints a sparse similarity matrix (`M_n`, sim blocks, `M_s`, `M`).
@@ -438,14 +426,7 @@ impl Checkpoint {
 
     /// Loads a checkpointed sparse similarity matrix, or `None` to recompute.
     pub fn load_sim(&mut self, key: &str, rec: &Recorder) -> Option<SparseSimMatrix> {
-        let payload = self.load(key, rec)?;
-        match largeea_sim::io::read_sparse_sim(&payload[..]) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                self.discard(key, rec, &e.to_string());
-                None
-            }
-        }
+        self.load(key, rec, |p| largeea_sim::io::read_sparse_sim(p))
     }
 
     /// Checkpoints a mini-batch assignment.
@@ -459,16 +440,17 @@ impl Checkpoint {
         self.save(key, &payload, rec)
     }
 
-    /// Loads a checkpointed mini-batch assignment, or `None` to recompute.
-    pub fn load_batches(&mut self, key: &str, rec: &Recorder) -> Option<MiniBatches> {
-        let payload = self.load(key, rec)?;
-        match decode_batches(&payload) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                self.discard(key, rec, &e.to_string());
-                None
-            }
-        }
+    /// Loads a checkpointed mini-batch assignment over KGs of `n_source` and
+    /// `n_target` entities, or `None` to recompute (a payload that does not
+    /// fit those counts is discarded, like a torn one).
+    pub fn load_batches(
+        &mut self,
+        key: &str,
+        n_source: usize,
+        n_target: usize,
+        rec: &Recorder,
+    ) -> Option<MiniBatches> {
+        self.load(key, rec, |p| decode_batches(p, n_source, n_target))
     }
 
     /// Persists per-epoch training progress (round, batch, epoch, loss) —
@@ -558,7 +540,8 @@ pub fn read_progress(dir: &Path) -> io::Result<Json> {
 //              | len u64 | len × (u32, u32)   (train pairs)
 //              | len u64 | len × (u32, u32)   (test pairs)
 
-fn encode_batches(b: &MiniBatches) -> Vec<u8> {
+/// Encodes a mini-batch assignment as a partition payload (layout above).
+pub fn encode_batches(b: &MiniBatches) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(b.source_membership.len() as u64).to_le_bytes());
     out.extend_from_slice(&(b.target_membership.len() as u64).to_le_bytes());
@@ -582,7 +565,12 @@ fn encode_batches(b: &MiniBatches) -> Vec<u8> {
     out
 }
 
-fn decode_batches(buf: &[u8]) -> io::Result<MiniBatches> {
+/// Decodes a partition payload over KGs of `n_source` and `n_target`
+/// entities. Untrusted bytes: a header that disagrees with those counts, an
+/// entity or pair id out of range, truncation and trailing bytes are all
+/// `InvalidData` errors, and nothing is allocated past the counts and the
+/// input's own length.
+pub fn decode_batches(buf: &[u8], n_source: usize, n_target: usize) -> io::Result<MiniBatches> {
     struct Cursor<'a> {
         buf: &'a [u8],
         pos: usize,
@@ -613,43 +601,44 @@ fn decode_batches(buf: &[u8]) -> io::Result<MiniBatches> {
         io::Error::new(io::ErrorKind::InvalidData, "truncated mini-batch payload")
     }
 
+    fn invalid(what: String) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, what)
+    }
+
     let mut c = Cursor { buf, pos: 0 };
-    let n_source = c.u64()? as usize;
-    let n_target = c.u64()? as usize;
+    let counts = (c.u64()?, c.u64()?);
+    if counts != (n_source as u64, n_target as u64) {
+        return Err(invalid(format!(
+            "partition of {} × {} entities, but the KGs have {n_source} × {n_target}",
+            counts.0, counts.1
+        )));
+    }
     let k = c.u64()? as usize;
-    let mut batches = Vec::with_capacity(k.min(1024));
+    // each batch takes at least its index and four lengths (40 bytes)
+    let mut batches = Vec::with_capacity(k.min(buf.len() / 40));
     for _ in 0..k {
         let index = c.u64()? as usize;
-        let ids = |c: &mut Cursor| -> io::Result<Vec<EntityId>> {
-            let n = c.len()?;
-            (0..n).map(|_| c.u32().map(EntityId)).collect()
+        let id = |c: &mut Cursor, n: usize, side: &str| -> io::Result<EntityId> {
+            let e = c.u32()?;
+            if e as usize >= n {
+                return Err(invalid(format!("{side} entity {e} out of range")));
+            }
+            Ok(EntityId(e))
         };
-        let source_entities = ids(&mut c)?;
-        let target_entities = ids(&mut c)?;
+        let ids = |c: &mut Cursor, n: usize, side: &str| -> io::Result<Vec<EntityId>> {
+            let len = c.len()?;
+            (0..len).map(|_| id(c, n, side)).collect()
+        };
+        let source_entities = ids(&mut c, n_source, "source")?;
+        let target_entities = ids(&mut c, n_target, "target")?;
         let pairs = |c: &mut Cursor| -> io::Result<Vec<(EntityId, EntityId)>> {
-            let n = c.len()?;
-            (0..n)
-                .map(|_| Ok((EntityId(c.u32()?), EntityId(c.u32()?))))
+            let len = c.len()?;
+            (0..len)
+                .map(|_| Ok((id(c, n_source, "source")?, id(c, n_target, "target")?)))
                 .collect()
         };
         let train_pairs = pairs(&mut c)?;
         let test_pairs = pairs(&mut c)?;
-        for e in &source_entities {
-            if e.idx() >= n_source {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("source entity {} out of range", e.0),
-                ));
-            }
-        }
-        for e in &target_entities {
-            if e.idx() >= n_target {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("target entity {} out of range", e.0),
-                ));
-            }
-        }
         batches.push(MiniBatch {
             index,
             source_entities,
@@ -813,14 +802,17 @@ mod tests {
     #[test]
     fn minibatches_roundtrip_and_reject_garbage() {
         let b = toy_batches();
+        let (ns, nt) = (b.source_membership.len(), b.target_membership.len());
         let buf = encode_batches(&b);
-        assert_eq!(decode_batches(&buf).unwrap(), b);
-        assert!(decode_batches(&buf[..buf.len() - 3]).is_err());
-        assert!(decode_batches(&[0xFF; 10]).is_err());
+        assert_eq!(decode_batches(&buf, ns, nt).unwrap(), b);
+        assert!(decode_batches(&buf[..buf.len() - 3], ns, nt).is_err());
+        assert!(decode_batches(&[0xFF; 10], ns, nt).is_err());
         // huge claimed length must not allocate
         let mut evil = buf.clone();
         evil[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_batches(&evil).is_err());
+        assert!(decode_batches(&evil, ns, nt).is_err());
+        // a partition of other KGs is refused
+        assert!(decode_batches(&buf, ns + 1, nt).is_err());
     }
 
     #[test]
@@ -831,7 +823,10 @@ mod tests {
         let b = toy_batches();
         c.save_batches("r0.partition", &b, &rec).unwrap();
         let mut c2 = Checkpoint::open(&dir, meta(), true, &rec).unwrap();
-        assert_eq!(c2.load_batches("r0.partition", &rec), Some(b));
+        assert_eq!(c2.load_batches("r0.partition", 6, 7, &rec), None);
+        assert!(!c2.is_done("r0.partition"), "a mismatch is discarded");
+        c2.save_batches("r0.partition", &b, &rec).unwrap();
+        assert_eq!(c2.load_batches("r0.partition", 6, 6, &rec), Some(b));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -71,14 +71,6 @@ impl MemTracker {
         Self::default()
     }
 
-    /// An empty tracker enforcing `budget` bytes across all labels.
-    pub fn with_budget(budget: usize) -> Self {
-        Self {
-            budget: Some(budget),
-            ..Self::default()
-        }
-    }
-
     /// An empty tracker with an optional budget (`None` = tracking only).
     pub fn with_budget_opt(budget: Option<usize>) -> Self {
         Self {
@@ -130,15 +122,7 @@ impl MemTracker {
     /// the budget.
     pub fn charge(&mut self, label: &str, bytes: usize) -> Result<(), BudgetExceeded> {
         self.add(label, bytes);
-        match self.budget {
-            Some(budget) if self.total_current > budget => Err(BudgetExceeded {
-                label: label.to_owned(),
-                requested: bytes,
-                tracked: self.total_current,
-                budget,
-            }),
-            _ => Ok(()),
-        }
+        self.enforce(label, bytes)
     }
 
     /// Checks the budget without changing any counts: errors if the tracked
@@ -182,11 +166,6 @@ impl MemTracker {
     /// The peak bytes recorded for `label` (0 if never set).
     pub fn peak(&self, label: &str) -> usize {
         self.peak.get(label).copied().unwrap_or(0)
-    }
-
-    /// The largest single-label peak.
-    pub fn max_peak(&self) -> usize {
-        self.peak.values().copied().max().unwrap_or(0)
     }
 
     /// The current tracked total across all labels.
@@ -364,12 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn max_peak_across_labels() {
+    fn table_lists_every_label() {
         let mut t = MemTracker::new();
         t.set("a", 5);
         t.set("b", 9);
-        assert_eq!(t.max_peak(), 9);
-        assert_eq!(t.table().len(), 2);
+        assert_eq!(t.table(), vec![("a".to_owned(), 5), ("b".to_owned(), 9)]);
     }
 
     #[test]
@@ -457,7 +435,6 @@ mod tests {
         let mut t = MemTracker::new();
         t.release("never_set");
         assert_eq!(t.peak("never_set"), 0);
-        assert_eq!(t.max_peak(), 0);
     }
 
     #[test]
@@ -506,7 +483,7 @@ mod tests {
 
     #[test]
     fn charge_within_budget_succeeds_and_uncharge_reverses() {
-        let mut t = MemTracker::with_budget(1000);
+        let mut t = MemTracker::with_budget_opt(Some(1000));
         t.charge("emb", 400).unwrap();
         t.charge("sim", 500).unwrap();
         assert_eq!(t.total_current(), 900);
@@ -518,7 +495,7 @@ mod tests {
 
     #[test]
     fn charge_over_budget_is_a_typed_error() {
-        let mut t = MemTracker::with_budget(1000);
+        let mut t = MemTracker::with_budget_opt(Some(1000));
         t.charge("emb", 800).unwrap();
         let err = t.charge("sim", 300).unwrap_err();
         assert_eq!(err.label, "sim");
@@ -542,7 +519,7 @@ mod tests {
 
     #[test]
     fn uncharge_saturates_at_zero() {
-        let mut t = MemTracker::with_budget(100);
+        let mut t = MemTracker::with_budget_opt(Some(100));
         t.charge("x", 30).unwrap();
         t.uncharge("x", 99);
         assert_eq!(t.current("x"), 0);
@@ -552,7 +529,7 @@ mod tests {
 
     #[test]
     fn enforce_checks_without_mutating() {
-        let mut t = MemTracker::with_budget(100);
+        let mut t = MemTracker::with_budget_opt(Some(100));
         t.set("x", 80);
         t.enforce("x", 80).unwrap();
         t.set("x", 130);
@@ -563,10 +540,9 @@ mod tests {
     }
 
     #[test]
-    fn with_budget_opt_matches_both_constructors() {
+    fn with_budget_opt_sets_the_budget() {
         assert_eq!(MemTracker::with_budget_opt(None).budget(), None);
         assert_eq!(MemTracker::with_budget_opt(Some(7)).budget(), Some(7));
-        assert_eq!(MemTracker::with_budget(7).budget(), Some(7));
     }
 
     #[test]

@@ -13,11 +13,11 @@
 
 use crate::mem::MemTracker;
 use crate::pipeline::RunError;
-use crate::spill::SpillStore;
+use crate::spill::{SpillStore, WorkStore};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
-use largeea_sim::{segmented_topk_streamed, segmented_topk_traced, Metric, SparseSimMatrix};
+use largeea_sim::{segmented_topk_streamed, Metric, SparseSimMatrix};
 use largeea_text::{batch, normalize_name, HashEncoder, LshIndex, MinHasher};
 
 /// Name-channel hyper-parameters (paper defaults in §3.1).
@@ -89,45 +89,29 @@ impl NameChannel {
         Self { cfg }
     }
 
-    /// Runs NFF over the two KGs' entity labels.
+    /// Runs NFF over the two KGs' entity labels, in RAM and unbudgeted (the
+    /// convenience form of [`NameChannel::run_bounded`]).
     pub fn run(&self, source: &KnowledgeGraph, target: &KnowledgeGraph) -> NameChannelOutput {
         // A private default recorder keeps the reported timings real even
         // when nobody asked for a trace (spans time whether stored or not).
-        self.run_traced(source, target, &Recorder::new(ObsConfig::default()))
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_bounded(source, target, &rec, &mut MemTracker::new(), None)
+            .expect("an unbudgeted in-RAM name channel has no failure mode")
     }
 
-    /// [`NameChannel::run`] recording into `rec`: a `name_channel` span with
+    /// Runs NFF recording into `rec`: a `name_channel` span with
     /// `sens`/`stns` children (the reported `*_seconds` are those spans'
-    /// durations — single source of truth), per-block `sens_block` spans
-    /// from the segmented search, `stns.*` candidate counters, and
-    /// `mem.name_channel.peak_bytes`.
-    ///
-    /// With a disabled recorder the reported timings are `0.0`; call
-    /// [`NameChannel::run`] when timings matter but no trace is wanted.
-    pub fn run_traced(
-        &self,
-        source: &KnowledgeGraph,
-        target: &KnowledgeGraph,
-        rec: &Recorder,
-    ) -> NameChannelOutput {
-        let mut mem = MemTracker::new();
-        let out = self
-            .run_bounded(source, target, rec, &mut mem, None)
-            .unwrap_or_else(|e| unreachable!("unbudgeted in-RAM run cannot fail: {e}"));
-        mem.record_into(rec);
-        out
-    }
-
-    /// [`NameChannel::run_traced`] under an explicit memory regime.
+    /// durations — single source of truth, so a disabled recorder reports
+    /// `0.0`), per-block `sens_block` spans from the segmented search and
+    /// `stns.*` candidate counters.
     ///
     /// Charges every major allocation against `mem` (typed
-    /// [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set) and,
-    /// when `spill` is given, runs SENS out of core: embeddings are encoded
-    /// per segment, written through the [`SpillStore`], and streamed back
-    /// block pair by block pair, so at most one query + one base segment is
-    /// resident. Results are bit-identical to the in-RAM path — the encoder
-    /// is per-row deterministic and the streamed search visits block pairs
-    /// in the exact order of the in-RAM search.
+    /// [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set). SENS
+    /// encodes one segment at a time into a [`WorkStore`] — kept in RAM, or
+    /// written through `spill` when given — and scans it streamed, so out
+    /// of core at most one query + one base segment is resident. Results
+    /// are bit-identical either way: the encoder is per-row deterministic
+    /// and the scan visits block pairs in one fixed order.
     ///
     /// Does NOT call `mem.record_into` — the caller owns the tracker's
     /// lifecycle (the pipeline shares one tracker across channels).
@@ -140,19 +124,16 @@ impl NameChannel {
         spill: Option<&mut SpillStore>,
     ) -> Result<NameChannelOutput, RunError> {
         let channel_span = rec.span("name_channel");
-        let out_of_core = spill.is_some();
-        let (m_se, sens_seconds) = match spill {
-            Some(store) => self.sens_spilled(source, target, mem, store, rec)?,
-            None => self.sens(source, target, mem, rec)?,
-        };
+        let fuse_in_place = spill.is_some();
+        let (m_se, sens_seconds) = self.sens(source, target, mem, WorkStore::new(spill), rec)?;
         // end of SENS: refresh the working-set gauge and give the live
         // sampler a stage-boundary tick (likewise after STNS below)
         rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
         rec.live_tick();
-        let (m_st, stns_seconds) = self.stns(source, target, mem, rec, out_of_core)?;
+        let (m_st, stns_seconds) = self.stns(source, target, mem, rec)?;
         rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
         rec.live_tick();
-        let (m_se, m_st, m_n) = if out_of_core {
+        let (m_se, m_st, m_n) = if fuse_in_place {
             // In-place fusion through the same `merge_rows` kernel as the
             // allocating `scaled_add` → bit-identical entries; `m_se`/`m_st`
             // diagnostics are dropped to keep only the fused matrix live.
@@ -180,55 +161,18 @@ impl NameChannel {
     }
 
     /// SENS: semantic name similarity via hash-encoder embeddings +
-    /// segment-at-a-time Manhattan top-k.
+    /// segment-at-a-time Manhattan top-k. Each side is encoded one segment
+    /// at a time (`HashEncoder::encode_batch` is per-row deterministic, so
+    /// segment slices equal row slices of a full encoding) into `store`
+    /// under `sens.q<i>` / `sens.b<i>` keys; the streamed scan then loads
+    /// one query + one base segment at a time, and the segments are
+    /// removed once it is done.
     fn sens(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
         mem: &mut MemTracker,
-        rec: &Recorder,
-    ) -> Result<(SparseSimMatrix, f64), RunError> {
-        let mut span = rec.span("sens");
-        span.field("dim", self.cfg.dim);
-        span.field("top_k", self.cfg.top_k);
-        span.field("segments", self.cfg.segments);
-        let (emb_s, emb_t) = {
-            let _s = rec.span_at(Level::Detail, "encode");
-            let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
-            (
-                encoder.encode_batch(source.labels()),
-                encoder.encode_batch(target.labels()),
-            )
-        };
-        mem.charge("name_channel", emb_s.nbytes() + emb_t.nbytes())?;
-        let hits = segmented_topk_traced(
-            &emb_s,
-            &emb_t,
-            self.cfg.top_k,
-            Metric::Manhattan,
-            self.cfg.segments,
-            rec,
-        );
-        let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
-        // negative distances → [0,1] per row so γ-weighted fusion and the
-        // later channel fusion operate on one scale
-        m_se.normalize_global_minmax();
-        mem.charge("name_channel", m_se.nbytes())?;
-        Ok((m_se, span.finish()))
-    }
-
-    /// Out-of-core SENS: embeddings never exist as whole matrices. Each side
-    /// is encoded one segment at a time (`HashEncoder::encode_batch` is
-    /// per-row deterministic, so segment slices equal row slices of a full
-    /// encoding), written to the spill store under `sens.q<i>` / `sens.b<i>`
-    /// keys, and the streamed top-k search loads at most one query + one
-    /// base segment at a time — in exactly the order of the in-RAM search.
-    fn sens_spilled(
-        &self,
-        source: &KnowledgeGraph,
-        target: &KnowledgeGraph,
-        mem: &mut MemTracker,
-        store: &mut SpillStore,
+        mut store: WorkStore<'_>,
         rec: &Recorder,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
         let mut span = rec.span("sens");
@@ -240,39 +184,34 @@ impl NameChannel {
         let n_q = source.num_entities();
         let n_b = target.num_entities();
         // MUST match `segmented_topk_streamed`'s segment arithmetic so the
-        // loader's `range.start / seg` lands on the right spilled artifact.
+        // loader's `range.start / seg` lands on the right stored segment.
         let q_seg = n_q.div_ceil(segments).max(1);
         let b_seg = n_b.div_ceil(segments).max(1);
+        let sides = [(source.labels(), q_seg, 'q'), (target.labels(), b_seg, 'b')];
         {
             let _s = rec.span_at(Level::Detail, "encode");
             let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
-            for (labels, seg, side) in
-                [(source.labels(), q_seg, 'q'), (target.labels(), b_seg, 'b')]
-            {
+            for (labels, seg, side) in sides {
                 for (idx, start) in (0..labels.len()).step_by(seg).enumerate() {
                     let end = (start + seg).min(labels.len());
                     let m = encoder.encode_batch(&labels[start..end]);
-                    mem.charge("name_channel", m.nbytes())?;
-                    store
-                        .put_matrix(&format!("sens.{side}{idx}"), &m, rec)
+                    let bytes = m.nbytes();
+                    mem.charge("name_channel", bytes)?;
+                    let kept = store
+                        .put_matrix(&format!("sens.{side}{idx}"), m, rec)
                         .map_err(RunError::Spill)?;
-                    mem.uncharge("name_channel", m.nbytes());
+                    mem.uncharge("name_channel", bytes - kept);
                 }
             }
         }
-        // The streamed search holds one query + one base segment resident;
-        // charge that bound up front (the loaders can't borrow the tracker
-        // while both borrow the store).
-        let resident =
-            (q_seg.min(n_q) + b_seg.min(n_b)) * self.cfg.dim * std::mem::size_of::<f32>();
+        // What the scan loads on top of what the store keeps: one query +
+        // one base segment from disk, nothing when the store lends (charged
+        // up front — the loaders can't borrow the tracker while both borrow
+        // the store).
+        let resident = store.loaded_bytes(
+            (q_seg.min(n_q) + b_seg.min(n_b)) * self.cfg.dim * std::mem::size_of::<f32>(),
+        );
         mem.charge("name_channel", resident)?;
-        let store_ref = &*store;
-        let load_q = |r: std::ops::Range<usize>| {
-            store_ref.get_matrix(&format!("sens.q{}", r.start / q_seg), rec)
-        };
-        let load_b = |r: std::ops::Range<usize>| {
-            store_ref.get_matrix(&format!("sens.b{}", r.start / b_seg), rec)
-        };
         let hits = segmented_topk_streamed(
             n_q,
             n_b,
@@ -281,17 +220,20 @@ impl NameChannel {
             Metric::Manhattan,
             segments,
             rec,
-            load_q,
-            load_b,
+            |r| store.get_matrix(&format!("sens.q{}", r.start / q_seg), rec),
+            |r| store.get_matrix(&format!("sens.b{}", r.start / b_seg), rec),
         )
         .map_err(RunError::Spill)?;
         mem.uncharge("name_channel", resident);
-        for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
-            for (idx, _) in (0..n).step_by(seg).enumerate() {
-                store.remove(&format!("sens.{side}{idx}"));
+        for (labels, seg, side) in sides {
+            for idx in 0..labels.len().div_ceil(seg) {
+                let freed = store.remove(&format!("sens.{side}{idx}"));
+                mem.uncharge("name_channel", freed);
             }
         }
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
+        // negative distances → [0,1] per row so γ-weighted fusion and the
+        // later channel fusion operate on one scale
         m_se.normalize_global_minmax();
         mem.charge("name_channel", m_se.nbytes())?;
         Ok((m_se, span.finish()))
@@ -305,7 +247,6 @@ impl NameChannel {
         target: &KnowledgeGraph,
         mem: &mut MemTracker,
         rec: &Recorder,
-        out_of_core: bool,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
@@ -381,13 +322,8 @@ impl NameChannel {
         span.field("pruned", pruned_below_theta);
         m_st.truncate_topk(self.cfg.top_k);
         mem.charge("name_channel", m_st.nbytes())?;
-        if out_of_core {
-            // Signatures and the LSH index drop at return; give those bytes
-            // back so the bounded run's live total reflects reality. The
-            // in-RAM path keeps the legacy never-release accounting so its
-            // reported gauges stay comparable with historical traces.
-            mem.uncharge("name_channel", sigs_bytes);
-        }
+        // signatures and the LSH index drop at return
+        mem.uncharge("name_channel", sigs_bytes);
         Ok((m_st, span.finish()))
     }
 }
@@ -459,6 +395,24 @@ mod tests {
         assert!(out.sens_seconds >= 0.0);
         assert!(out.stns_seconds >= 0.0);
         assert!(out.peak_bytes > 0);
+    }
+
+    #[test]
+    fn tracker_holds_exactly_the_returned_matrices() {
+        // embeddings, signatures and the LSH index are all released by the
+        // time the channel returns, in RAM and out of core alike
+        let (s, t) = kgs();
+        let nc = NameChannel::new(NameChannelConfig::default());
+        let dir = std::env::temp_dir().join(format!("largeea_nc_books_{}", std::process::id()));
+        let mut spill = SpillStore::create(&dir).unwrap();
+        for store in [None, Some(&mut spill)] {
+            let mut mem = MemTracker::new();
+            let out = nc
+                .run_bounded(&s, &t, &Recorder::disabled(), &mut mem, store)
+                .unwrap();
+            let returned = out.m_se.nbytes() + out.m_st.nbytes() + out.m_n.nbytes();
+            assert_eq!(mem.current("name_channel"), returned);
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::spill::SpillStore;
 use crate::structure_channel::{StructureChannel, StructureChannelConfig};
 use crate::supervisor::{self, Degradations, Exhausted, Quarantined, Supervision};
 use largeea_common::obs::{ObsConfig, Recorder, Trace};
-use largeea_common::retry::{Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_partition::batches::Retention;
 use largeea_sim::SparseSimMatrix;
@@ -289,92 +288,45 @@ impl LargeEa {
     }
 
     /// Runs the pipeline on `pair` using `seeds.train` as supervision and
-    /// evaluating on `seeds.test`. With an empty `seeds.train` and
-    /// augmentation on, this is the paper's *unsupervised* mode (§3.5).
+    /// evaluating on `seeds.test` — one round, in RAM, unbudgeted and
+    /// without a checkpoint (the convenience form of [`LargeEa::run_exec`]).
+    /// With an empty `seeds.train` and augmentation on, this is the paper's
+    /// *unsupervised* mode (§3.5).
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> LargeEaReport {
-        self.run_iterative(pair, seeds, 1)
-    }
-
-    /// Bootstrapping extension (BootEA-style, cited as [34] by the paper):
-    /// after each round, entity pairs that are *mutually* each other's best
-    /// match in the fused matrix join the seed set, and the structure
-    /// channel retrains. The name channel runs once (it is seed-free).
-    /// `rounds = 1` is exactly [`LargeEa::run`].
-    pub fn run_iterative(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-    ) -> LargeEaReport {
         // A private default recorder keeps the reported timings real even
         // when nobody asked for a trace.
-        self.run_recorded(pair, seeds, rounds, &Recorder::new(ObsConfig::default()))
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_exec(pair, seeds, 1, &rec, None, &ExecOptions::default())
+            .expect("an unbudgeted in-RAM run has no failure mode")
     }
 
-    /// [`LargeEa::run_iterative`] recording into `rec`. The whole run is a
+    /// Runs the pipeline recording into `rec`. The whole run is a
     /// `pipeline` span; the report's `*_seconds` fields are read back out of
     /// the recorded trace (single source of truth), so a disabled recorder
     /// yields an empty trace and all-zero timings.
-    pub fn run_recorded(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-        rec: &Recorder,
-    ) -> LargeEaReport {
-        self.run_exec(pair, seeds, rounds, rec, None, &ExecOptions::default())
-            .unwrap_or_else(|e| unreachable!("unbudgeted in-RAM run cannot fail: {e}"))
-    }
-
-    /// [`LargeEa::run_recorded`] with crash-safe checkpointing: every
-    /// pipeline boundary (name-channel `M_n`, per-round partition /
-    /// per-batch embeddings and sim blocks / `M_s`, the fused `M`) is
-    /// durably persisted into `ckpt` as it completes, and any stage the
-    /// manifest already marks done is loaded instead of recomputed. The
-    /// checkpoint must have been opened for *this* run
-    /// ([`LargeEaConfig::run_meta`]); a mismatch is refused with
+    ///
+    /// `rounds > 1` bootstraps (BootEA-style, cited as [34] by the paper):
+    /// after each round, entity pairs that are *mutually* each other's best
+    /// match in the fused matrix join the seed set, and the structure
+    /// channel retrains. The name channel runs once (it is seed-free).
+    ///
+    /// With `ckpt = Some(..)` the run is crash-safe: every pipeline boundary
+    /// (name-channel `M_n`, per-round partition / per-batch embeddings and
+    /// sim blocks / `M_s`, the fused `M`) is durably persisted as it
+    /// completes, and any stage the manifest already marks done is loaded
+    /// instead of recomputed. The checkpoint must have been opened for
+    /// *this* run ([`LargeEaConfig::run_meta`]); a mismatch is refused with
     /// [`CkptError::Mismatch`] before any work happens. A resumed run is
     /// bit-identical to an uninterrupted one (`tests/crash_recovery.rs`).
-    pub fn run_checkpointed(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-        rec: &Recorder,
-        ckpt: &mut Checkpoint,
-    ) -> Result<LargeEaReport, CkptError> {
-        self.run_exec(
-            pair,
-            seeds,
-            rounds,
-            rec,
-            Some(ckpt),
-            &ExecOptions::default(),
-        )
-        .map_err(|e| match e {
-            RunError::Ckpt(c) => c,
-            // A transient checkpoint fault that outlived every retry: this
-            // interface speaks CkptError, so fold the exhaustion back into
-            // the I/O variant it grew from (kind preserved via the message).
-            RunError::Exhausted(x) => {
-                CkptError::Io(io::Error::new(io::ErrorKind::Interrupted, x.to_string()))
-            }
-            other => unreachable!("default exec options cannot fail with {other}"),
-        })
-    }
-
-    /// The most general entry point: [`LargeEa::run_recorded`] with optional
-    /// checkpointing *and* an execution regime ([`ExecOptions`]).
     ///
     /// With `exec.mem_budget`, every major allocation is charged against one
     /// shared [`MemTracker`] and the run fails fast with a typed
     /// [`RunError::Budget`] instead of thrashing. With `exec.spill_dir`, the
-    /// channels run out of core: per-segment name embeddings, per-batch
-    /// trained embeddings and similarity blocks write through a
-    /// [`SpillStore`] and are streamed back, so the tracked working set
-    /// stays bounded. The out-of-core path is bit-identical to the in-RAM
-    /// reference (`tests/spill_equivalence.rs`), because every streamed
-    /// computation visits blocks in exactly the in-RAM order.
+    /// channels keep their blocks in a [`SpillStore`] instead of in RAM:
+    /// per-segment name embeddings, per-batch trained embeddings and
+    /// similarity blocks are written through and streamed back, so the
+    /// tracked working set stays bounded. Both regimes run the same stage
+    /// code and are bit-identical (`tests/spill_equivalence.rs`).
     pub fn run_exec(
         &self,
         pair: &KgPair,
@@ -386,22 +338,7 @@ impl LargeEa {
     ) -> Result<LargeEaReport, RunError> {
         assert!(rounds >= 1, "need at least one round");
         if let Some(c) = ckpt.as_deref() {
-            let expect = self.cfg.run_meta(seeds, rounds);
-            let got = c.meta();
-            for (field, manifest, current) in [
-                ("config_hash", got.config_hash, expect.config_hash),
-                ("seed", got.seed, expect.seed),
-                ("rounds", got.rounds, expect.rounds),
-            ] {
-                if manifest != current {
-                    return Err(CkptError::Mismatch {
-                        field,
-                        manifest,
-                        current,
-                    }
-                    .into());
-                }
-            }
+            c.meta().check(&self.cfg.run_meta(seeds, rounds))?;
         }
         let mut mem = MemTracker::with_budget_opt(exec.mem_budget);
         let mut spill = match &exec.spill_dir {
@@ -709,14 +646,11 @@ fn channel_lost(
             why: e.to_string(),
         }));
     }
-    if e.transience() == Transience::Transient {
-        return Err(RunError::Exhausted(Exhausted {
-            site: channel.to_owned(),
-            attempts: sup.retry.max_attempts,
-            last: Box::new(e),
-        }));
-    }
-    Err(e)
+    Err(supervisor::give_up(
+        e,
+        channel.to_owned(),
+        sup.retry.max_attempts,
+    ))
 }
 
 #[cfg(test)]
@@ -862,7 +796,10 @@ mod tests {
         let pair = Preset::Ids15kEnFr.spec(0.015).generate();
         let seeds = pair.split_seeds(0.15, 31);
         let one = LargeEa::new(quick()).run(&pair, &seeds);
-        let boot = LargeEa::new(quick()).run_iterative(&pair, &seeds, 2);
+        let rec = Recorder::new(ObsConfig::default());
+        let boot = LargeEa::new(quick())
+            .run_exec(&pair, &seeds, 2, &rec, None, &ExecOptions::default())
+            .unwrap();
         assert!(
             boot.eval.hits1 >= one.eval.hits1 - 8.0,
             "bootstrapping collapsed: {} vs {}",
@@ -933,7 +870,7 @@ mod tests {
     fn measured_heap_peak_is_absent_without_the_allocator() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 6);
-        let r = LargeEa::new(quick()).run_iterative(&pair, &seeds, 1);
+        let r = LargeEa::new(quick()).run(&pair, &seeds);
         assert_eq!(r.measured_heap_peak_bytes, None);
     }
 
@@ -942,7 +879,16 @@ mod tests {
         use largeea_common::obs::Recorder;
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 12);
-        let r = LargeEa::new(quick()).run_recorded(&pair, &seeds, 1, &Recorder::disabled());
+        let r = LargeEa::new(quick())
+            .run_exec(
+                &pair,
+                &seeds,
+                1,
+                &Recorder::disabled(),
+                None,
+                &ExecOptions::default(),
+            )
+            .unwrap();
         assert!(r.trace.spans.is_empty());
         assert_eq!(r.total_seconds, 0.0);
         assert!(r.eval.hits1 >= 0.0, "results still computed");
@@ -953,7 +899,9 @@ mod tests {
     fn zero_rounds_rejected() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 1);
-        LargeEa::new(quick()).run_iterative(&pair, &seeds, 0);
+        let rec = Recorder::disabled();
+        let _ =
+            LargeEa::new(quick()).run_exec(&pair, &seeds, 0, &rec, None, &ExecOptions::default());
     }
 
     #[test]

@@ -21,13 +21,19 @@
 //! Every write/read lands in the trace as `mem.spill.*` counters plus a
 //! `mem.spill.peak_disk_bytes` gauge, so a bounded run's disk traffic is
 //! as observable as its RAM peaks.
+//!
+//! Stages never talk to a [`SpillStore`] directly: they write through a
+//! [`WorkStore`], which is either the disk store or a [`RamStore`] that
+//! keeps blocks where they are. An in-RAM run is the out-of-core run with
+//! the RAM store plugged in — one stage body, two places for its blocks.
 
 use largeea_common::fsio;
 use largeea_common::obs::{Level, Recorder};
 use largeea_common::retry::RetryPolicy;
 use largeea_sim::SparseSimMatrix;
 use largeea_tensor::Matrix;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -172,6 +178,142 @@ impl Drop for SpillStore {
     }
 }
 
+/// Where a stage keeps its intermediate blocks (DESIGN.md §S0.8): in RAM,
+/// or written through a [`SpillStore`]. Every put returns the bytes the
+/// store keeps resident and every remove the bytes it frees, so a stage
+/// charges its [`crate::mem::MemTracker`] exactly that and never asks which
+/// store it has.
+#[derive(Debug)]
+pub(crate) enum WorkStore<'a> {
+    /// The RAM store: keeps each block as it is and lends it back without
+    /// copying; it writes no file and records no `mem.spill.*` counter.
+    Ram(BTreeMap<String, Matrix>),
+    /// The disk store.
+    Disk {
+        spill: &'a mut SpillStore,
+        /// Keys of deposited similarity blocks not merged yet, in deposit
+        /// order (see [`WorkStore::deposit`]).
+        deferred: VecDeque<String>,
+    },
+}
+
+impl<'a> WorkStore<'a> {
+    /// The disk store when a spill store is given, else a fresh RAM store.
+    pub(crate) fn new(spill: Option<&'a mut SpillStore>) -> Self {
+        match spill {
+            Some(spill) => WorkStore::Disk {
+                spill,
+                deferred: VecDeque::new(),
+            },
+            None => WorkStore::Ram(BTreeMap::new()),
+        }
+    }
+
+    /// Stores `m` under `key`; returns the bytes kept resident (`0` once
+    /// spilled).
+    pub(crate) fn put_matrix(&mut self, key: &str, m: Matrix, rec: &Recorder) -> io::Result<usize> {
+        match self {
+            WorkStore::Ram(ram) => {
+                let bytes = m.nbytes();
+                ram.insert(key.to_owned(), m);
+                Ok(bytes)
+            }
+            WorkStore::Disk { spill, .. } => spill.put_matrix(key, &m, rec).map(|()| 0),
+        }
+    }
+
+    /// `key`'s matrix: lent by the RAM store, streamed back from disk.
+    pub(crate) fn get_matrix(&self, key: &str, rec: &Recorder) -> io::Result<Cow<'_, Matrix>> {
+        match self {
+            WorkStore::Ram(ram) => ram.get(key).map(Cow::Borrowed).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::NotFound, format!("no block {key:?}"))
+            }),
+            WorkStore::Disk { spill, .. } => spill.get_matrix(key, rec).map(Cow::Owned),
+        }
+    }
+
+    /// The bytes a [`WorkStore::get_matrix`] of a `bytes`-sized matrix adds
+    /// to the working set: a fresh copy from disk, nothing for a lent one.
+    pub(crate) fn loaded_bytes(&self, bytes: usize) -> usize {
+        match self {
+            WorkStore::Ram(_) => 0,
+            WorkStore::Disk { .. } => bytes,
+        }
+    }
+
+    /// Writes `m` through as a transient artifact, so its bytes are
+    /// crash-injectable like every other out-of-core write. The caller's
+    /// matrix stays the resident copy, so the RAM store keeps nothing.
+    pub(crate) fn write_through(
+        &mut self,
+        key: &str,
+        m: &Matrix,
+        rec: &Recorder,
+    ) -> io::Result<()> {
+        match self {
+            WorkStore::Ram(_) => Ok(()),
+            WorkStore::Disk { spill, .. } => spill.put_matrix(key, m, rec),
+        }
+    }
+
+    /// Drops `key`'s artifact; returns the resident bytes freed.
+    pub(crate) fn remove(&mut self, key: &str) -> usize {
+        match self {
+            WorkStore::Ram(ram) => ram.remove(key).map_or(0, |m| m.nbytes()),
+            WorkStore::Disk { spill, .. } => {
+                spill.remove(key);
+                0
+            }
+        }
+    }
+
+    /// Deposits similarity block `block` toward `m_s`; returns the bytes
+    /// `m_s` grew by. The RAM store merges it at once. The disk store spills
+    /// it under `key` and defers the merge to [`WorkStore::merge_deferred`],
+    /// which merges in deposit order — the same insert sequence.
+    pub(crate) fn deposit(
+        &mut self,
+        key: &str,
+        block: SparseSimMatrix,
+        m_s: &mut SparseSimMatrix,
+        rec: &Recorder,
+    ) -> io::Result<usize> {
+        match self {
+            WorkStore::Ram(_) => {
+                let before = m_s.nbytes();
+                m_s.absorb(block);
+                Ok(m_s.nbytes() - before)
+            }
+            WorkStore::Disk { spill, deferred } => {
+                spill.put_sim(key, &block, rec)?;
+                deferred.push_back(key.to_owned());
+                Ok(0)
+            }
+        }
+    }
+
+    /// Merges the oldest deferred block into `m_s` and drops it; returns
+    /// its key with the bytes `m_s` grew by, or `None` once none is left
+    /// (always, for the RAM store).
+    pub(crate) fn merge_deferred(
+        &mut self,
+        m_s: &mut SparseSimMatrix,
+        rec: &Recorder,
+    ) -> Option<(String, io::Result<usize>)> {
+        let WorkStore::Disk { spill, deferred } = self else {
+            return None;
+        };
+        let key = deferred.pop_front()?;
+        let merged = spill.get_sim(&key, rec).map(|block| {
+            let before = m_s.nbytes();
+            m_s.absorb(block);
+            spill.remove(&key);
+            m_s.nbytes() - before
+        });
+        Some((key, merged))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +407,65 @@ mod tests {
         assert_eq!(s.get_matrix("stale", &rec).unwrap(), m);
         drop(s);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ram_store_lends_what_it_keeps_and_reports_resident_bytes() {
+        let rec = rec();
+        let mut s = WorkStore::new(None);
+        let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        let (data, bytes) = (m.as_slice().as_ptr(), m.nbytes());
+        assert_eq!(s.put_matrix("sens.q0", m, &rec).unwrap(), bytes);
+        let lent = s.get_matrix("sens.q0", &rec).unwrap();
+        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert_eq!(lent.as_slice().as_ptr(), data, "lent, not copied");
+        assert_eq!(s.loaded_bytes(bytes), 0);
+        assert_eq!(s.remove("sens.q0"), bytes);
+        assert_eq!(s.remove("sens.q0"), 0);
+        assert!(s.get_matrix("sens.q0", &rec).is_err());
+        assert!(rec.trace().counters.is_empty(), "no mem.spill.* traffic");
+    }
+
+    #[test]
+    fn disk_store_keeps_nothing_resident_and_merges_deposits_after_the_loop() {
+        let block = |r: usize| {
+            let mut b = SparseSimMatrix::new(3, 3);
+            b.insert(r, 1, 0.5);
+            b.insert(1, 1, 0.25);
+            b
+        };
+        let rec = rec();
+        let mut in_ram = SparseSimMatrix::new(3, 3);
+        let mut ram = WorkStore::new(None);
+        let grown = ram.deposit("b0", block(0), &mut in_ram, &rec).unwrap();
+        assert_eq!(grown, 2 * std::mem::size_of::<(u32, f32)>());
+        ram.deposit("b1", block(2), &mut in_ram, &rec).unwrap();
+        let rest = ram.merge_deferred(&mut in_ram, &rec);
+        assert!(rest.is_none(), "the RAM store merges at once");
+
+        let dir = tmpdir("work_disk");
+        let mut spill = SpillStore::create(&dir).unwrap();
+        let mut disk = WorkStore::new(Some(&mut spill));
+        let m = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
+        assert_eq!(disk.put_matrix("sens.b0", m.clone(), &rec).unwrap(), 0);
+        let got = disk.get_matrix("sens.b0", &rec).unwrap();
+        assert!(
+            matches!(got, Cow::Owned(ref g) if *g == m),
+            "a copy from disk"
+        );
+        assert_eq!(disk.loaded_bytes(m.nbytes()), m.nbytes());
+        assert_eq!(disk.remove("sens.b0"), 0);
+        let mut on_disk = SparseSimMatrix::new(3, 3);
+        for (key, b) in [("b0", block(0)), ("b1", block(2))] {
+            assert_eq!(disk.deposit(key, b, &mut on_disk, &rec).unwrap(), 0);
+        }
+        assert_eq!(on_disk.nnz(), 0, "nothing merged before the loop ends");
+        while let Some((_, merged)) = disk.merge_deferred(&mut on_disk, &rec) {
+            merged.unwrap();
+        }
+        assert_eq!(on_disk, in_ram);
+        assert_eq!(on_disk.get(1, 1), Some(0.5), "overlapping rows accumulate");
+        drop(disk);
+        assert_eq!(spill.artifact_count(), 0, "merged blocks are removed");
     }
 }

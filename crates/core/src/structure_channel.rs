@@ -7,16 +7,16 @@
 //!    keep the top-k candidates — the block-sparse structural similarity
 //!    matrix `M_s`.
 
-use crate::checkpoint::{Checkpoint, CkptError};
+use crate::checkpoint::Checkpoint;
 use crate::mem::MemTracker;
 use crate::pipeline::RunError;
-use crate::spill::SpillStore;
-use crate::supervisor::{self, Exhausted, Supervision};
+use crate::spill::{SpillStore, WorkStore};
+use crate::supervisor::{self, Supervision};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
-use largeea_common::retry::{with_retry, Retryable, Transience};
+use largeea_common::retry::with_retry;
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
-use largeea_models::{train_hooked, train_traced, BatchGraph, ModelKind, TrainConfig};
+use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::{metis_cps_traced, vps_traced, CpsConfig, MiniBatches};
 use largeea_sim::SparseSimMatrix;
 
@@ -102,16 +102,11 @@ impl StructureChannel {
         Self { cfg }
     }
 
-    /// Generates mini-batches only (used by the partition-analysis
-    /// experiments, Tables 5 / Figures 6–8).
-    pub fn make_batches(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> MiniBatches {
-        self.make_batches_traced(pair, seeds, &Recorder::disabled())
-    }
-
-    /// [`StructureChannel::make_batches`] recording the partitioner's
+    /// Generates the mini-batches (also used alone by the partition-analysis
+    /// experiments, Tables 5 / Figures 6–8), recording the partitioner's
     /// internals (CPS step spans, per-level/per-pass refinement spans,
     /// `cps.*` counters) into `rec`.
-    pub fn make_batches_traced(
+    pub fn make_batches(
         &self,
         pair: &KgPair,
         seeds: &AlignmentSeeds,
@@ -147,89 +142,51 @@ impl StructureChannel {
         }
     }
 
-    /// Runs the full channel (Algorithm 1, given already-augmented seeds).
+    /// Runs the full channel (Algorithm 1, given already-augmented seeds)
+    /// in RAM, unbudgeted and without a checkpoint — the convenience form
+    /// of [`StructureChannel::run_bounded`].
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> StructureChannelOutput {
         // A private default recorder keeps the reported timings real even
         // when nobody asked for a trace (spans time whether stored or not).
-        self.run_traced(pair, seeds, &Recorder::new(ObsConfig::default()))
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_bounded(
+            pair,
+            seeds,
+            &rec,
+            None,
+            0,
+            &mut MemTracker::new(),
+            None,
+            &Supervision::default(),
+        )
+        .expect("an unbudgeted in-RAM structure channel has no failure mode")
     }
 
-    /// [`StructureChannel::run`] recording into `rec`: a
-    /// `structure_channel` span with `partition` and `train` children (the
-    /// reported `partition_seconds`/`training_seconds` are those spans'
-    /// durations — single source of truth), one `minibatch` span per
-    /// batch, per-epoch `epoch` spans from the trainer, and
-    /// `mem.structure_channel.peak_bytes`.
+    /// Runs the channel recording into `rec`: a `structure_channel` span
+    /// with `partition` and `train` children (the reported
+    /// `partition_seconds`/`training_seconds` are those spans' durations —
+    /// single source of truth, so a disabled recorder reports `0.0`), one
+    /// `minibatch` span per batch and per-epoch `epoch` spans from the
+    /// trainer.
     ///
-    /// With a disabled recorder the reported timings are `0.0`; call
-    /// [`StructureChannel::run`] when timings matter but no trace is wanted.
-    pub fn run_traced(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rec: &Recorder,
-    ) -> StructureChannelOutput {
-        self.run_traced_checkpointed(pair, seeds, rec, None, 0)
-            .expect("without a checkpoint no checkpoint error can occur")
-    }
-
-    /// [`StructureChannel::run_traced`] with crash-safe checkpointing. With
-    /// `ckpt = Some(..)` the channel persists its natural boundaries under
-    /// `round`-scoped stage keys — `r<R>.partition` (the mini-batch
+    /// All byte accounting goes through the caller-supplied `mem` (typically
+    /// the pipeline's shared budgeted tracker — the caller folds it into the
+    /// trace). Every batch fills its similarity block, checkpoints it when a
+    /// checkpoint is open, then deposits it into a [`WorkStore`]: in RAM the
+    /// block merges into `M_s` at once; with `spill = Some(..)` it is
+    /// written through the [`SpillStore`] (as are the batch's trained
+    /// embeddings, as transient artifacts) and `M_s` is assembled after the
+    /// training loop by streaming the blocks back **in batch order** — the
+    /// identical insert sequence, so the result is bit-identical.
+    ///
+    /// With `ckpt = Some(..)` the channel persists its natural boundaries
+    /// under `round`-scoped stage keys — `r<R>.partition` (the mini-batch
     /// assignment), `r<R>.b<I>.emb` (each batch's trained embeddings),
     /// `r<R>.b<I>.sim` (each batch's similarity block) and `r<R>.ms` (the
     /// round's normalised `M_s`) — and skips any stage the manifest already
     /// marks done. Because per-batch training is seeded independently
-    /// (`cfg.seed ^ batch.index`) and `M_s` assembly merges blocks in batch
-    /// order, a resumed channel produces a bit-identical `M_s`.
-    ///
-    /// With `ckpt = None` this is exactly [`StructureChannel::run_traced`]
-    /// (similarity goes straight into `M_s`, nothing touches disk).
-    pub fn run_traced_checkpointed(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rec: &Recorder,
-        ckpt: Option<&mut Checkpoint>,
-        round: usize,
-    ) -> Result<StructureChannelOutput, CkptError> {
-        let mut mem = MemTracker::new();
-        let out = self
-            .run_bounded(
-                pair,
-                seeds,
-                rec,
-                ckpt,
-                round,
-                &mut mem,
-                None,
-                &Supervision::default(),
-            )
-            .map_err(|e| match e {
-                RunError::Ckpt(c) => c,
-                // a transient checkpoint fault that outlived every retry —
-                // this interface speaks CkptError, so fold it back into I/O
-                RunError::Exhausted(x) => CkptError::Io(std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    x.to_string(),
-                )),
-                // without a budget or spill store the other variants have no
-                // source
-                other => unreachable!("in-RAM structure channel failed: {other}"),
-            })?;
-        mem.record_into(rec);
-        Ok(out)
-    }
-
-    /// The memory-bounded core of the channel (DESIGN.md §S0.8). All byte
-    /// accounting goes through the caller-supplied `mem` (typically the
-    /// pipeline's shared budgeted tracker — the caller folds it into the
-    /// trace); with `spill = Some(..)` the per-batch similarity blocks are
-    /// written through the [`SpillStore`] instead of accumulating into
-    /// `M_s`, per-batch embeddings are written through as transient
-    /// artifacts, and `M_s` is assembled after the training loop by
-    /// streaming the blocks back in **in batch order** — the identical
-    /// insert sequence to the in-RAM merge, so the result is bit-identical.
+    /// (`cfg.seed ^ batch.index`), a resumed channel produces a
+    /// bit-identical `M_s`.
     ///
     /// `sup` is the transient-fault supervision regime (DESIGN.md §S0.12):
     /// a mini-batch whose spill/checkpoint I/O exhausts site-level retries
@@ -247,16 +204,20 @@ impl StructureChannel {
         mut ckpt: Option<&mut Checkpoint>,
         round: usize,
         mem: &mut MemTracker,
-        mut spill: Option<&mut SpillStore>,
+        spill: Option<&mut SpillStore>,
         sup: &Supervision,
     ) -> Result<StructureChannelOutput, RunError> {
         let channel_span = rec.span("structure_channel");
         let partition_span = rec.span("partition");
         let pkey = format!("r{round}.partition");
-        let batches = match ckpt.as_mut().and_then(|c| c.load_batches(&pkey, rec)) {
+        let (n_source, n_target) = (pair.source.num_entities(), pair.target.num_entities());
+        let loaded = ckpt
+            .as_mut()
+            .and_then(|c| c.load_batches(&pkey, n_source, n_target, rec));
+        let batches = match loaded {
             Some(b) => b,
             None => {
-                let b = self.make_batches_traced(pair, seeds, rec);
+                let b = self.make_batches(pair, seeds, rec);
                 if let Some(c) = ckpt.as_mut() {
                     c.save_batches(&pkey, &b, rec)?;
                 }
@@ -281,12 +242,9 @@ impl StructureChannel {
             });
         }
 
-        let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-        if spill.is_some() {
-            mem.charge("structure_channel", m_s.nbytes())?;
-        }
-        // keys of spilled blocks, in batch order — the merge order below
-        let mut spilled_blocks: Vec<String> = Vec::new();
+        let mut store = WorkStore::new(spill);
+        let mut m_s = SparseSimMatrix::new(n_source, n_target);
+        mem.charge("structure_channel", m_s.nbytes())?;
         let train_span = rec.span("train");
         // Live-telemetry progress gauges: how far along this round's
         // training loop is (`trace tail` reads these for its progress/ETA
@@ -300,29 +258,24 @@ impl StructureChannel {
             rec.gauge("progress.batch", (batch.index + 1) as f64);
             // The unit of batch-level supervision. The body below is
             // re-executable as a whole: per-batch seeds are independent
-            // (`cfg.seed ^ batch.index`) and `m_s` is only mutated after
-            // the last retryable operation of an attempt, so a failed
-            // attempt rolls back to `(mem_before, blocks_before)` and the
+            // (`cfg.seed ^ batch.index`) and the deposit is the last
+            // retryable operation of an attempt (nothing is deposited if it
+            // fails), so a failed attempt rolls back to `mem_before` and the
             // re-run is bit-identical.
             let bkey = format!("r{round}.b{}", batch.index);
             let mem_before = mem.current("structure_channel");
-            let blocks_before = spilled_blocks.len();
             let (res, stats) = with_retry(&sup.retry, &bkey, |attempt| {
                 if attempt > 1 {
                     mem.set("structure_channel", mem_before);
-                    spilled_blocks.truncate(blocks_before);
                 }
                 let mut batch_span = rec.span_at(Level::Detail, "minibatch");
                 batch_span.field("batch", batch.index);
                 let skey = format!("r{round}.b{}.sim", batch.index);
                 if let Some(block) = ckpt.as_mut().and_then(|c| c.load_sim(&skey, rec)) {
-                    match spill.as_deref_mut() {
-                        Some(store) => {
-                            store.put_sim(&skey, &block, rec).map_err(RunError::Spill)?;
-                            spilled_blocks.push(skey.clone());
-                        }
-                        None => merge_block(&mut m_s, &block),
-                    }
+                    let grown = store
+                        .deposit(&skey, block, &mut m_s, rec)
+                        .map_err(RunError::Spill)?;
+                    mem.charge("structure_channel", grown)?;
                     return Ok(None);
                 }
                 let bg = BatchGraph::from_mini_batch(pair, batch);
@@ -342,23 +295,15 @@ impl StructureChannel {
                                 self.cfg.train.dim,
                                 self.cfg.seed ^ batch.index as u64,
                             );
-                            let report = match ckpt.as_deref_mut() {
-                                Some(c) => {
-                                    let cref: &Checkpoint = c;
-                                    let bidx = batch.index;
-                                    let mut hook = |epoch: usize, loss: f32| {
-                                        cref.epoch_progress(round, bidx, epoch, loss, rec);
-                                    };
-                                    train_hooked(
-                                        model.as_mut(),
-                                        &bg,
-                                        &self.cfg.train,
-                                        rec,
-                                        Some(&mut hook),
-                                    )
+                            let cref = ckpt.as_deref();
+                            let mut progress = |epoch: usize, loss: f32| {
+                                if let Some(c) = cref {
+                                    c.epoch_progress(round, batch.index, epoch, loss, rec);
                                 }
-                                None => train_traced(model.as_mut(), &bg, &self.cfg.train, rec),
                             };
+                            let hook: &mut dyn FnMut(usize, f32) = &mut progress;
+                            let cfg = &self.cfg.train;
+                            let report = train_hooked(model.as_mut(), &bg, cfg, rec, Some(hook));
                             if let Some(&last) = report.losses.last() {
                                 batch_loss = Some(last);
                                 batch_span.field("final_loss", last);
@@ -369,66 +314,32 @@ impl StructureChannel {
                             (report.embeddings, report.peak_bytes)
                         }
                     };
-                if let Some(store) = spill.as_deref_mut() {
-                    // write-through: the trained embeddings become a transient
-                    // spill artifact (removed at the end of the batch), so their
-                    // bytes are accounted and crash-injectable like every other
-                    // out-of-core write
-                    mem.charge("structure_channel", embeddings.nbytes())?;
-                    store
-                        .put_matrix(&ekey, &embeddings, rec)
-                        .map_err(RunError::Spill)?;
-                }
+                mem.charge("structure_channel", embeddings.nbytes())?;
+                store
+                    .write_through(&ekey, &embeddings, rec)
+                    .map_err(RunError::Spill)?;
                 {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
                     topk_span.field("batch", batch.index);
                     rec.add("topk.scored_pairs", (bg.n_source * bg.n_target) as u64);
-                    match spill.as_deref_mut() {
-                        Some(store) => {
-                            // fill a fresh block and spill it instead of growing
-                            // `m_s` — same content as the checkpointed merge path
-                            let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                            fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block);
-                            mem.charge("structure_channel", block.nbytes())?;
-                            if let Some(c) = ckpt.as_mut() {
-                                c.save_sim(&skey, &block, rec)?;
-                            }
-                            store.put_sim(&skey, &block, rec).map_err(RunError::Spill)?;
-                            spilled_blocks.push(skey.clone());
-                            mem.uncharge("structure_channel", block.nbytes());
-                        }
-                        None => match ckpt.as_mut() {
-                            Some(c) => {
-                                // fill a fresh block so it can be persisted before
-                                // merging — same final content as filling `m_s`
-                                // directly (each (row, col) is unique within a batch
-                                // and cross-batch duplicates accumulate by `+=`
-                                // either way)
-                                let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block);
-                                c.save_sim(&skey, &block, rec)?;
-                                merge_block(&mut m_s, &block);
-                            }
-                            None => fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut m_s),
-                        },
+                    let mut block = SparseSimMatrix::new(n_source, n_target);
+                    fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block);
+                    let block_bytes = block.nbytes();
+                    mem.charge("structure_channel", block_bytes)?;
+                    if let Some(c) = ckpt.as_mut() {
+                        c.save_sim(&skey, &block, rec)?;
                     }
+                    let grown = store
+                        .deposit(&skey, block, &mut m_s, rec)
+                        .map_err(RunError::Spill)?;
+                    mem.charge("structure_channel", grown)?;
+                    mem.uncharge("structure_channel", block_bytes);
                 }
-                match spill.as_deref_mut() {
-                    Some(store) => {
-                        // the training transient counts against the budget too
-                        mem.charge("structure_channel", train_peak)?;
-                        mem.uncharge("structure_channel", train_peak);
-                        mem.uncharge("structure_channel", embeddings.nbytes());
-                        store.remove(&ekey);
-                    }
-                    None => {
-                        // one batch is live at a time — track the max (and, when
-                        // a budget is set, enforce it at the same point)
-                        let live = train_peak + embeddings.nbytes() + m_s.nbytes();
-                        mem.set("structure_channel", live);
-                        mem.enforce("structure_channel", live)?;
-                    }
-                }
+                // the training transient counts against the budget too
+                mem.charge("structure_channel", train_peak)?;
+                mem.uncharge("structure_channel", train_peak);
+                mem.uncharge("structure_channel", embeddings.nbytes());
+                store.remove(&ekey);
                 Ok(batch_loss)
             });
             stats.record_into(rec);
@@ -441,7 +352,6 @@ impl StructureChannel {
                 Err(e) => {
                     // roll back the failed final attempt before deciding
                     mem.set("structure_channel", mem_before);
-                    spilled_blocks.truncate(blocks_before);
                     batch_fault(
                         e,
                         bkey,
@@ -458,23 +368,17 @@ impl StructureChannel {
             rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
             rec.live_tick();
         }
-        if let Some(store) = spill {
-            // assemble M_s by streaming blocks back in batch order — the
-            // same insert sequence as the in-RAM merge
-            for key in &spilled_blocks {
-                match store.get_sim(key, rec).map_err(RunError::Spill) {
-                    Ok(block) => {
-                        let before = m_s.nbytes();
-                        merge_block(&mut m_s, &block);
-                        mem.charge("structure_channel", m_s.nbytes() - before)?;
-                        store.remove(key);
-                    }
-                    Err(e) => {
-                        // a block written earlier became unreadable: same
-                        // fate as a batch that never produced one
-                        let unit = key.trim_end_matches(".sim").to_owned();
-                        batch_fault(e, unit, 1, sup, ckpt.as_deref_mut(), &mut quarantined, rec)?;
-                    }
+        // blocks the store deferred stream back in batch order — the same
+        // insert sequence as merging each at once
+        while let Some((key, merged)) = store.merge_deferred(&mut m_s, rec) {
+            match merged {
+                Ok(grown) => mem.charge("structure_channel", grown)?,
+                Err(e) => {
+                    // a block written earlier became unreadable: same
+                    // fate as a batch that never produced one
+                    let unit = key.trim_end_matches(".sim").to_owned();
+                    let e = RunError::Spill(e);
+                    batch_fault(e, unit, 1, sup, ckpt.as_deref_mut(), &mut quarantined, rec)?;
                 }
             }
         }
@@ -525,23 +429,7 @@ fn batch_fault(
         quarantined.push(unit);
         return Ok(());
     }
-    if e.transience() == Transience::Transient {
-        return Err(RunError::Exhausted(Exhausted {
-            site: unit,
-            attempts,
-            last: Box::new(e),
-        }));
-    }
-    Err(e)
-}
-
-/// Accumulates a persisted per-batch similarity block into `m_s`.
-fn merge_block(m_s: &mut SparseSimMatrix, block: &SparseSimMatrix) {
-    for r in 0..block.n_rows() {
-        for &(c, s) in block.row(r) {
-            m_s.insert(r, c, s);
-        }
-    }
+    Err(supervisor::give_up(e, unit, attempts))
 }
 
 #[cfg(test)]
@@ -599,7 +487,7 @@ mod tests {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.3, 2);
         let sc = StructureChannel::new(quick_cfg(4, Partitioner::None));
-        let batches = sc.make_batches(&pair, &seeds);
+        let batches = sc.make_batches(&pair, &seeds, &Recorder::disabled());
         assert_eq!(batches.k(), 1);
         assert_eq!(batches.retention(&seeds).total, 1.0);
     }
@@ -608,10 +496,11 @@ mod tests {
     fn cps_retention_beats_vps_on_test_pairs() {
         let pair = Preset::Ids15kEnFr.spec(0.02).generate();
         let seeds = pair.split_seeds(0.2, 3);
-        let cps =
-            StructureChannel::new(quick_cfg(3, Partitioner::MetisCps)).make_batches(&pair, &seeds);
+        let rec = Recorder::disabled();
+        let cps = StructureChannel::new(quick_cfg(3, Partitioner::MetisCps))
+            .make_batches(&pair, &seeds, &rec);
         let vps_b =
-            StructureChannel::new(quick_cfg(3, Partitioner::Vps)).make_batches(&pair, &seeds);
+            StructureChannel::new(quick_cfg(3, Partitioner::Vps)).make_batches(&pair, &seeds, &rec);
         let (rc, rv) = (cps.retention(&seeds), vps_b.retention(&seeds));
         assert!(
             rc.test > rv.test,
@@ -625,10 +514,11 @@ mod tests {
     fn overlap_increases_colocations() {
         let pair = Preset::Ids15kEnFr.spec(0.02).generate();
         let seeds = pair.split_seeds(0.2, 4);
+        let rec = Recorder::disabled();
         let mut cfg = quick_cfg(3, Partitioner::MetisCps);
-        let disjoint = StructureChannel::new(cfg).make_batches(&pair, &seeds);
+        let disjoint = StructureChannel::new(cfg).make_batches(&pair, &seeds, &rec);
         cfg.d_ov = 2;
-        let overlapped = StructureChannel::new(cfg).make_batches(&pair, &seeds);
+        let overlapped = StructureChannel::new(cfg).make_batches(&pair, &seeds, &rec);
         assert!(overlapped.retention(&seeds).total >= disjoint.retention(&seeds).total);
     }
 }

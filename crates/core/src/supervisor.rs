@@ -150,6 +150,20 @@ pub fn is_io_fault(e: &RunError) -> bool {
     )
 }
 
+/// The terminal form of an error that outlived supervision of `site` after
+/// `attempts` attempts: [`RunError::Exhausted`] for a transient fault, `e`
+/// itself for a deterministic one.
+pub(crate) fn give_up(e: RunError, site: String, attempts: u32) -> RunError {
+    if e.transience() == Transience::Transient {
+        return RunError::Exhausted(Exhausted {
+            site,
+            attempts,
+            last: Box::new(e),
+        });
+    }
+    e
+}
+
 /// One registered failpoint: its name (what `LARGEEA_FAILPOINTS` arms) and
 /// the write site it guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 //!
 //! - [`topk`] — exact blocked top-k nearest-neighbour search over dense
 //!   embedding matrices (the Faiss substitute). The paper runs Faiss in
-//!   flat/exact mode over segment pairs; [`topk::segmented_topk`] reproduces
+//!   flat/exact mode over segment pairs; [`topk::segmented_topk_traced`] reproduces
 //!   that segment-at-a-time structure, which is what bounds memory to
 //!   `O(k · |E_s|)` instead of `O(|E_s| · |E_t|)`.
 //! - [`sparse_sim`] — [`SparseSimMatrix`], the top-k row-sparse similarity
@@ -15,17 +15,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod assignment;
 pub mod io;
-pub mod ivf;
-pub mod kmeans;
 pub mod sparse_sim;
 pub mod topk;
 
-pub use assignment::{assignment_weight, auction_assignment};
-pub use ivf::IvfIndex;
 pub use sparse_sim::SparseSimMatrix;
 pub use topk::{
-    segmented_topk, segmented_topk_streamed, segmented_topk_traced, topk_search, topk_search_in,
-    Metric,
+    segmented_topk_streamed, segmented_topk_traced, topk_search, topk_search_in, Metric,
 };

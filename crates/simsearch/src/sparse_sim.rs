@@ -6,8 +6,6 @@
 //! `O(k·|E_s|)` (paper §2.3) — the entire framework result `M = M_s + M_n`
 //! lives in this representation.
 
-use largeea_tensor::Matrix;
-
 /// A sparse similarity matrix holding at most a few entries per row,
 /// each row sorted by column id.
 ///
@@ -142,6 +140,25 @@ impl SparseSimMatrix {
         self.scaled_add_assign(other, 1.0);
     }
 
+    /// Accumulates `other` into `self` entry by entry, as if every entry
+    /// were [`Self::insert`]ed in row order — bit-identical to that — but
+    /// a row of `other` that lands on an empty row of `self` is moved
+    /// there whole, so merging a mini-batch block into `M_s` costs the
+    /// block's entries, not a pass over `M_s`.
+    pub fn absorb(&mut self, other: SparseSimMatrix) {
+        assert_eq!(self.n_rows(), other.n_rows(), "row count mismatch");
+        assert_eq!(self.n_cols, other.n_cols, "col count mismatch");
+        for (r, row) in other.rows.into_iter().enumerate() {
+            if self.rows[r].is_empty() {
+                self.rows[r] = row;
+            } else {
+                for (c, s) in row {
+                    self.insert(r, c, s);
+                }
+            }
+        }
+    }
+
     /// Scales every stored score in place.
     pub fn scale(&mut self, alpha: f32) {
         for r in &mut self.rows {
@@ -247,47 +264,6 @@ impl SparseSimMatrix {
         }
     }
 
-    /// Sinkhorn normalisation: alternately rescales rows and columns toward
-    /// unit mass for `iterations` rounds, pushing the (non-negative) score
-    /// matrix toward a doubly-stochastic transport plan. This is the
-    /// soft 1-to-1 matching prior many EA decoders apply before ranking —
-    /// an alternative to [`Self::csls`] with a global, rather than local,
-    /// view of hubness. Negative scores are clamped to zero first.
-    pub fn sinkhorn(&mut self, iterations: usize) {
-        for row in &mut self.rows {
-            for e in row.iter_mut() {
-                e.1 = e.1.max(0.0);
-            }
-        }
-        for _ in 0..iterations {
-            // rows → unit sum
-            for row in &mut self.rows {
-                let sum: f32 = row.iter().map(|&(_, s)| s).sum();
-                if sum > f32::EPSILON {
-                    let inv = 1.0 / sum;
-                    for e in row.iter_mut() {
-                        e.1 *= inv;
-                    }
-                }
-            }
-            // cols → unit sum
-            let mut col_sum = vec![0.0f32; self.n_cols];
-            for row in &self.rows {
-                for &(c, s) in row {
-                    col_sum[c as usize] += s;
-                }
-            }
-            for row in &mut self.rows {
-                for e in row.iter_mut() {
-                    let cs = col_sum[e.0 as usize];
-                    if cs > f32::EPSILON {
-                        e.1 /= cs;
-                    }
-                }
-            }
-        }
-    }
-
     /// Greedily decodes a 1-to-1 alignment: entries are taken in descending
     /// score order, skipping rows/columns already matched. This is the
     /// standard assignment-extraction step when a downstream application
@@ -372,17 +348,6 @@ impl SparseSimMatrix {
             .filter(|&&(c, s)| s > target || (s == target && c < col))
             .count();
         Some(ahead + 1)
-    }
-
-    /// Densifies into a [`Matrix`] (tests / tiny inputs only).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n_rows(), self.n_cols);
-        for (r, row) in self.rows.iter().enumerate() {
-            for &(c, s) in row {
-                m[(r, c as usize)] = s;
-            }
-        }
-        m
     }
 }
 
@@ -492,6 +457,27 @@ mod tests {
     }
 
     #[test]
+    fn absorb_is_bit_identical_to_inserting() {
+        // rows 0 and 2 accumulate into stored rows; row 1 moves into an
+        // empty one
+        let mut a = sample();
+        a.rows[1].clear();
+        let mut b = SparseSimMatrix::new(3, 4);
+        b.insert(0, 1, 0.123);
+        b.insert(1, 3, 0.456);
+        b.insert(1, 0, 0.5);
+        b.insert(2, 0, 0.789);
+        let mut inserted = a.clone();
+        for r in 0..3 {
+            for &(c, s) in b.row(r) {
+                inserted.insert(r, c, s);
+            }
+        }
+        a.absorb(b);
+        assert_eq!(a, inserted);
+    }
+
+    #[test]
     fn add_is_commutative() {
         let a = sample();
         let mut b = SparseSimMatrix::new(3, 4);
@@ -590,51 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn sinkhorn_balances_rows_and_columns() {
-        let mut m = SparseSimMatrix::new(2, 2);
-        m.insert(0, 0, 4.0);
-        m.insert(0, 1, 1.0);
-        m.insert(1, 0, 1.0);
-        m.insert(1, 1, 1.0);
-        m.sinkhorn(30);
-        // row sums ≈ 1
-        for r in 0..2 {
-            let s: f32 = m.row(r).iter().map(|&(_, v)| v).sum();
-            assert!((s - 1.0).abs() < 0.05, "row {r} sum {s}");
-        }
-        // column sums ≈ 1
-        for c in 0..2u32 {
-            let s: f32 = (0..2).filter_map(|r| m.get(r, c)).sum();
-            assert!((s - 1.0).abs() < 0.05, "col {c} sum {s}");
-        }
-        // stronger diagonal survives
-        assert!(m.get(0, 0).unwrap() > m.get(0, 1).unwrap());
-    }
-
-    #[test]
-    fn sinkhorn_resolves_contested_column() {
-        // rows 0 and 1 both prefer column 0, but row 1 has no alternative;
-        // the transport prior shifts row 0 toward its fallback column
-        let mut m = SparseSimMatrix::new(2, 2);
-        m.insert(0, 0, 0.9);
-        m.insert(0, 1, 0.8);
-        m.insert(1, 0, 0.9);
-        m.sinkhorn(50);
-        assert_eq!(m.best(0).unwrap().0, 1, "row 0 should yield the hub");
-        assert_eq!(m.best(1).unwrap().0, 0);
-    }
-
-    #[test]
-    fn sinkhorn_clamps_negatives() {
-        let mut m = SparseSimMatrix::new(1, 2);
-        m.insert(0, 0, -1.0);
-        m.insert(0, 1, 1.0);
-        m.sinkhorn(3);
-        assert_eq!(m.get(0, 0), Some(0.0));
-        assert!((m.get(0, 1).unwrap() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn greedy_one_to_one_is_injective_and_score_ordered() {
         let mut m = SparseSimMatrix::new(3, 3);
         m.insert(0, 0, 0.9);
@@ -679,14 +620,6 @@ mod tests {
         assert_eq!(m.n_rows(), 2);
         assert_eq!(m.row(0), &[(0, 0.3), (2, 0.7)]);
         assert!(m.row(1).is_empty());
-    }
-
-    #[test]
-    fn to_dense_matches() {
-        let m = sample();
-        let d = m.to_dense();
-        assert_eq!(d[(0, 1)], 0.9);
-        assert_eq!(d[(1, 1)], 0.0);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use largeea_common::obs::{Level, Recorder};
 use largeea_tensor::kernels::{self, Isa, Tile, TILE_BASE, TILE_QUERIES};
 use largeea_tensor::parallel::Pool;
 use largeea_tensor::{active_isa, dot, l1_distance, Matrix};
+use std::borrow::Cow;
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -31,7 +32,7 @@ impl Metric {
     /// The exact scans in this module score whole tiles instead
     /// ([`kernels::l1_tile_on`] / [`kernels::dot_tile_on`]), which are
     /// bit-identical to this function pair by pair; the per-pair form
-    /// serves the IVF probe and reference checks.
+    /// serves reference checks.
     ///
     /// Length discipline: the kernels truncate to the shorter slice, so a
     /// mismatched call silently scores a prefix. The public `topk` entry
@@ -186,44 +187,21 @@ pub fn topk_search_in(
 }
 
 /// Segment-at-a-time top-k search mirroring the paper's SENS memory layout:
-/// both matrices are split into `num_segments` row ranges; each query
-/// segment is searched against one base segment at a time and the per-pair
-/// results are merged, so only `O(segment² )` candidate scores are ever live
-/// while the retained output stays `O(k · |queries|)`.
+/// both matrices are split into `num_segments` row ranges and each query
+/// segment is searched against one base segment at a time, so only
+/// `O(segment²)` candidate scores are ever live while the retained output
+/// stays `O(k · |queries|)`. Functionally identical to [`topk_search`]
+/// (both are exact).
 ///
-/// Functionally identical to [`topk_search`] (both are exact); exists so the
-/// experiment harness can reproduce and account for the paper's memory
-/// claim.
+/// Each segment pair is a `sens_block` span ([`Level::Trace`]) with
+/// `q_start`/`q_rows`/`b_start`/`b_rows`/`scored` fields, and totals land
+/// in the `sens.blocks` / `sens.candidates_scored` counters (pass
+/// [`Recorder::disabled`] for none).
 ///
 /// # Panics
 ///
 /// If `queries.cols() != base.cols()` ("query/base dimensionality
 /// mismatch"), `k == 0` ("k must be at least 1") or `num_segments == 0`.
-pub fn segmented_topk(
-    queries: &Matrix,
-    base: &Matrix,
-    k: usize,
-    metric: Metric,
-    num_segments: usize,
-) -> Vec<Vec<(u32, f32)>> {
-    segmented_topk_traced(
-        queries,
-        base,
-        k,
-        metric,
-        num_segments,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`segmented_topk`] with telemetry: each segment pair is a `sens_block`
-/// span ([`Level::Trace`]) with `q_start`/`q_rows`/`b_start`/`b_rows`/
-/// `scored` fields, and totals land in the `sens.blocks` /
-/// `sens.candidates_scored` counters.
-///
-/// # Panics
-///
-/// Same contract as [`segmented_topk`].
 pub fn segmented_topk_traced(
     queries: &Matrix,
     base: &Matrix,
@@ -235,18 +213,19 @@ pub fn segmented_topk_traced(
     scan_resident(queries, base, k, metric, num_segments, Pool::global(), rec)
 }
 
-/// Out-of-core [`segmented_topk_traced`]: instead of borrowing whole
-/// embedding matrices, the caller supplies loaders that materialise one
-/// row segment at a time (typically streaming spilled `LEAM1` frames back
-/// in — DESIGN.md §S0.8), so at most one query segment and one base
-/// segment are ever resident.
+/// [`segmented_topk_traced`] over segments the caller supplies one at a
+/// time: instead of borrowing whole embedding matrices, the scan asks the
+/// loaders for one row segment at a time, so at most one query segment and
+/// one base segment need be resident. A loader either lends a segment it
+/// holds ([`Cow::Borrowed`], nothing copied) or materialises one
+/// ([`Cow::Owned`], typically a spilled `LEAM1` frame streamed back in —
+/// DESIGN.md §S0.8).
 ///
 /// Both paths run the same scan over the same segment arithmetic, and the
-/// loaded segments must be row slices of the same `dim`-column matrices —
-/// so every score is computed from identical floats by the identical
-/// kernel, and the result is **bit-identical** to the in-RAM path
-/// (asserted by `streamed_matches_in_ram_traced`). Loader errors abort the
-/// search.
+/// segments must be row slices of the same `dim`-column matrices — so every
+/// score is computed from identical floats by the identical kernel, and the
+/// result is **bit-identical** to [`segmented_topk_traced`] (asserted by
+/// `streamed_matches_in_ram_traced`). Loader errors abort the search.
 ///
 /// # Panics
 ///
@@ -255,7 +234,7 @@ pub fn segmented_topk_traced(
 /// range ("… segment row count") or whose column count is not `dim`
 /// ("segment dim mismatch").
 #[allow(clippy::too_many_arguments)] // mirrors segmented_topk_traced plus dim and two loaders
-pub fn segmented_topk_streamed<E>(
+pub fn segmented_topk_streamed<'a, E>(
     n_queries: usize,
     n_base: usize,
     dim: usize,
@@ -263,8 +242,8 @@ pub fn segmented_topk_streamed<E>(
     metric: Metric,
     num_segments: usize,
     rec: &Recorder,
-    mut load_queries: impl FnMut(Range<usize>) -> Result<Matrix, E>,
-    mut load_base: impl FnMut(Range<usize>) -> Result<Matrix, E>,
+    mut load_queries: impl FnMut(Range<usize>) -> Result<Cow<'a, Matrix>, E>,
+    mut load_base: impl FnMut(Range<usize>) -> Result<Cow<'a, Matrix>, E>,
 ) -> Result<Vec<Vec<(u32, f32)>>, E> {
     scan(
         (n_queries, n_base),
@@ -274,39 +253,37 @@ pub fn segmented_topk_streamed<E>(
         num_segments,
         Pool::global(),
         rec,
-        |r| load_queries(r).map(Segment::Loaded),
-        |r| load_base(r).map(Segment::Loaded),
+        |r| load_queries(r).map(Segment::whole),
+        |r| load_base(r).map(Segment::whole),
     )
 }
 
-/// Rows handed to [`scan`]: a row range of a resident matrix (borrowed,
-/// nothing copied), or a segment a loader materialised.
-enum Segment<'a> {
-    Rows(&'a Matrix, Range<usize>),
-    Loaded(Matrix),
+/// Rows handed to [`scan`]: a row range of a matrix that is borrowed (a
+/// resident matrix, or a segment a loader lent) or owned (a segment a
+/// loader materialised). Only an owned segment is a copy.
+struct Segment<'a> {
+    m: Cow<'a, Matrix>,
+    rows: Range<usize>,
 }
 
-impl Segment<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Segment::Rows(_, r) => r.len(),
-            Segment::Loaded(m) => m.rows(),
-        }
+impl<'a> Segment<'a> {
+    /// Rows `rows` of a resident matrix.
+    fn borrowed(m: &'a Matrix, rows: Range<usize>) -> Self {
+        let m = Cow::Borrowed(m);
+        Segment { m, rows }
     }
 
-    fn cols(&self) -> usize {
-        match self {
-            Segment::Rows(m, _) => m.cols(),
-            Segment::Loaded(m) => m.cols(),
+    /// All rows of a segment a loader returned.
+    fn whole(m: Cow<'a, Matrix>) -> Self {
+        Segment {
+            rows: 0..m.rows(),
+            m,
         }
     }
 
     /// Row-major data of exactly this segment's rows.
     fn data(&self) -> &[f32] {
-        match self {
-            Segment::Rows(m, r) => &m.as_slice()[r.start * m.cols()..r.end * m.cols()],
-            Segment::Loaded(m) => m.as_slice(),
-        }
+        &self.m.as_slice()[self.rows.start * self.m.cols()..self.rows.end * self.m.cols()]
     }
 }
 
@@ -329,8 +306,8 @@ fn scan_resident(
         num_segments,
         pool,
         rec,
-        |r| Ok::<_, Infallible>(Segment::Rows(queries, r)),
-        |r| Ok(Segment::Rows(base, r)),
+        |r| Ok::<_, Infallible>(Segment::borrowed(queries, r)),
+        |r| Ok(Segment::borrowed(base, r)),
     );
     match hits {
         Ok(hits) => hits,
@@ -377,13 +354,21 @@ fn scan<'a, E>(
     for b_start in (0..n_b).step_by(b_seg) {
         let b_end = (b_start + b_seg).min(n_b);
         let b_block = load_b(b_start..b_end)?;
-        assert_eq!(b_block.rows(), b_end - b_start, "base segment row count");
-        assert_eq!(b_block.cols(), b_dim, "segment dim mismatch");
+        assert_eq!(
+            b_block.rows.len(),
+            b_end - b_start,
+            "base segment row count"
+        );
+        assert_eq!(b_block.m.cols(), b_dim, "segment dim mismatch");
         for q_start in (0..n_q).step_by(q_seg) {
             let q_end = (q_start + q_seg).min(n_q);
             let q_block = load_q(q_start..q_end)?;
-            assert_eq!(q_block.rows(), q_end - q_start, "query segment row count");
-            assert_eq!(q_block.cols(), q_dim, "segment dim mismatch");
+            assert_eq!(
+                q_block.rows.len(),
+                q_end - q_start,
+                "query segment row count"
+            );
+            assert_eq!(q_block.m.cols(), q_dim, "segment dim mismatch");
             let mut span = rec.span_at(Level::Trace, "sens_block");
             scan_block(
                 &mut tops[q_start..q_end],
@@ -433,9 +418,9 @@ fn scan_block(
     fn row(data: &[f32], dim: usize, i: usize) -> &[f32] {
         &data[i * dim..(i + 1) * dim]
     }
-    let dim = q.cols();
+    let dim = q.m.cols();
     let (q_data, b_data) = (q.data(), b.data());
-    let (n_q, n_b) = (q.rows(), b.rows());
+    let (n_q, n_b) = (q.rows.len(), b.rows.len());
     let chunk_rows = (BASE_CHUNK_BYTES / (dim.max(1) * std::mem::size_of::<f32>())).max(TILE_BASE)
         / TILE_BASE
         * TILE_BASE;
@@ -528,7 +513,8 @@ mod tests {
         let b = Matrix::from_fn(53, 8, |_, _| next());
         for segs in [1, 2, 3, 7] {
             let plain = topk_search(&q, &b, 5, Metric::Manhattan);
-            let seg = segmented_topk(&q, &b, 5, Metric::Manhattan, segs);
+            let seg =
+                segmented_topk_traced(&q, &b, 5, Metric::Manhattan, segs, &Recorder::disabled());
             assert_eq!(plain, seg, "segments={segs}");
         }
     }
@@ -540,7 +526,7 @@ mod tests {
         let b = Matrix::from_fn(12, 4, |i, j| (i + j) as f32);
         let rec = Recorder::new(ObsConfig::default());
         let traced = segmented_topk_traced(&q, &b, 3, Metric::Manhattan, 2, &rec);
-        assert_eq!(traced, segmented_topk(&q, &b, 3, Metric::Manhattan, 2));
+        assert_eq!(traced, topk_search(&q, &b, 3, Metric::Manhattan));
         let t = rec.trace();
         assert_eq!(t.span_count("sens_block"), 4, "2 × 2 segment pairs");
         assert_eq!(t.counter("sens.blocks"), 4);
@@ -567,6 +553,13 @@ mod tests {
             let b = Matrix::from_fn(nb, 6, |_, _| next());
             let rec = Recorder::new(ObsConfig::default());
             let in_ram = segmented_topk_traced(&q, &b, 4, Metric::Manhattan, segs, &rec);
+            // queries are materialised per load, base segments are lent
+            // from segments held elsewhere — both must score identically
+            let b_seg = nb.div_ceil(segs);
+            let lent: Vec<Matrix> = (0..nb)
+                .step_by(b_seg)
+                .map(|i| slice_rows(&b, i..(i + b_seg).min(nb)))
+                .collect();
             let rec2 = Recorder::new(ObsConfig::default());
             let streamed = segmented_topk_streamed(
                 nq,
@@ -576,8 +569,8 @@ mod tests {
                 Metric::Manhattan,
                 segs,
                 &rec2,
-                |r| Ok::<_, std::io::Error>(slice_rows(&q, r)),
-                |r| Ok(slice_rows(&b, r)),
+                |r| Ok::<_, std::io::Error>(Cow::Owned(slice_rows(&q, r))),
+                |r| Ok(Cow::Borrowed(&lent[r.start / b_seg])),
             )
             .unwrap();
             assert_eq!(streamed, in_ram, "nq={nq} nb={nb} segs={segs}");
@@ -604,7 +597,7 @@ mod tests {
             2,
             &Recorder::disabled(),
             |_| Err(std::io::Error::other("disk on fire")),
-            |r| Ok(Matrix::zeros(r.len(), 3)),
+            |r| Ok(Cow::Owned(Matrix::zeros(r.len(), 3))),
         )
         .unwrap_err();
         assert!(err.to_string().contains("disk on fire"));
@@ -633,12 +626,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn segmented_dim_mismatch_panics() {
-        segmented_topk(
+        segmented_topk_traced(
             &Matrix::zeros(4, 5),
             &Matrix::zeros(4, 6),
             2,
             Metric::Manhattan,
             2,
+            &Recorder::disabled(),
         );
     }
 
@@ -676,7 +670,7 @@ mod tests {
                     assert_eq!(got, expect, "width={width} {at}");
                 }
                 for segs in [1, 3] {
-                    let got = segmented_topk(&q, &b, k, metric, segs);
+                    let got = segmented_topk_traced(&q, &b, k, metric, segs, &Recorder::disabled());
                     assert_eq!(got, expect, "segments={segs} {at}");
                 }
             }
@@ -691,18 +685,6 @@ mod tests {
             &Matrix::zeros(5, 2),
             0,
             Metric::Manhattan,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 1")]
-    fn segmented_rejects_k_zero() {
-        segmented_topk(
-            &Matrix::zeros(3, 2),
-            &Matrix::zeros(5, 2),
-            0,
-            Metric::Manhattan,
-            2,
         );
     }
 
@@ -730,8 +712,8 @@ mod tests {
             Metric::Manhattan,
             2,
             &Recorder::disabled(),
-            |r| Ok::<_, std::io::Error>(Matrix::zeros(r.len(), 2)),
-            |r| Ok(Matrix::zeros(r.len(), 2)),
+            |r| Ok::<_, std::io::Error>(Cow::Owned(Matrix::zeros(r.len(), 2))),
+            |r| Ok(Cow::Owned(Matrix::zeros(r.len(), 2))),
         );
     }
 
@@ -746,8 +728,8 @@ mod tests {
             Metric::Manhattan,
             2,
             &Recorder::disabled(),
-            |r| Ok::<_, std::io::Error>(Matrix::zeros(r.len(), 2)),
-            |r| Ok(Matrix::zeros(r.len(), 3)),
+            |r| Ok::<_, std::io::Error>(Cow::Owned(Matrix::zeros(r.len(), 2))),
+            |r| Ok(Cow::Owned(Matrix::zeros(r.len(), 3))),
         );
     }
 

@@ -32,7 +32,14 @@ trap 'rm -rf "$SMOKE"' EXIT
 L="target/release/largeea"
 "$L" generate --preset ids15k-en-fr --scale 0.01 --out "$SMOKE/data" > /dev/null
 "$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
-  --trace-out "$SMOKE/run.json" > /dev/null
+  --analysis --trace-out "$SMOKE/run.json" > "$SMOKE/run.out"
+# --analysis reads the M_s / M_n the in-RAM report keeps
+grep -q 'channel attribution' "$SMOKE/run.out"
+# in RAM the blocks stay in the RAM working store: no spill traffic
+if grep -q '"mem.spill' "$SMOKE/run.json"; then
+  echo "trace smoke: an in-RAM run recorded mem.spill.* metrics" >&2
+  exit 1
+fi
 "$L" trace summarize "$SMOKE/run.json" > /dev/null
 "$L" trace diff "$SMOKE/run.json" "$SMOKE/run.json" --threshold-pct 0 > /dev/null
 

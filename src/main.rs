@@ -400,7 +400,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
         ..StructureChannelConfig::default()
     });
     let rec = Recorder::from_env();
-    let batches = sc.make_batches_traced(&pair, &seeds, &rec);
+    let batches = sc.make_batches(&pair, &seeds, &rec);
     let r = batches.retention(&seeds);
     outln!(
         "K={k} {strategy:?}: retention total {:.1}% / train {:.1}% / test {:.1}%, edge-cut rate {:.3}",

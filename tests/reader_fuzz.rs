@@ -1,6 +1,7 @@
 //! Hostile-input fuzzing of the LEAM1 (dense matrix) and LEAS1 (sparse
-//! similarity) readers. Both sit behind checkpoint resume and spill reads,
-//! so their input is untrusted bytes from disk.
+//! similarity) readers and of the checkpoint's partition payload. All sit
+//! behind checkpoint resume or spill reads, so their input is untrusted
+//! bytes from disk.
 //!
 //! The invariant for every input is a typed [`io::ErrorKind::InvalidData`]
 //! error or an exact round-trip, never a panic or an abort, and no
@@ -10,6 +11,9 @@
 use largeea::common::alloc::{span_close, span_open};
 use largeea::common::check::for_each_case;
 use largeea::common::rng::Rng;
+use largeea::core::checkpoint::{decode_batches, encode_batches};
+use largeea::kg::EntityId;
+use largeea::partition::{MiniBatch, MiniBatches};
 use largeea::sim::io::{read_sparse_sim, write_sparse_sim};
 use largeea::sim::SparseSimMatrix;
 use largeea::tensor::io::{read_matrix, write_matrix};
@@ -182,4 +186,62 @@ fn leas1_huge_row_count_without_rows_is_invalid_data() {
     input.extend_from_slice(&1u64.to_le_bytes());
     assert_eq!(input.len(), 22);
     assert_invalid_data(read_bounded(&input, |b| read_sparse_sim(b)), &input);
+}
+
+/// A random partition over `n_source` × `n_target` entities.
+fn random_batches(rng: &mut Rng, n_source: usize, n_target: usize) -> MiniBatches {
+    let id = |rng: &mut Rng, n: usize| EntityId(rng.gen_range(0..n as u32));
+    let batches = (0..rng.gen_range(0..4usize))
+        .map(|index| {
+            let ids =
+                |rng: &mut Rng, n| (0..rng.gen_range(0..5usize)).map(|_| id(rng, n)).collect();
+            let pairs = |rng: &mut Rng| {
+                (0..rng.gen_range(0..3usize))
+                    .map(|_| (id(rng, n_source), id(rng, n_target)))
+                    .collect()
+            };
+            MiniBatch {
+                index,
+                source_entities: ids(rng, n_source),
+                target_entities: ids(rng, n_target),
+                train_pairs: pairs(rng),
+                test_pairs: pairs(rng),
+            }
+        })
+        .collect();
+    MiniBatches::from_batches(batches, n_source, n_target)
+}
+
+#[test]
+fn partition_payload_survives_hostile_bytes() {
+    for_each_case(0x1EA6_0001, 600, |rng| {
+        let (ns, nt) = (rng.gen_range(1..8usize), rng.gen_range(1..8usize));
+        let b = random_batches(rng, ns, nt);
+        let clean = encode_batches(&b);
+        let back = read_bounded(&clean, |p| decode_batches(p, ns, nt)).expect("clean input");
+        assert_eq!(back, b, "clean input must round-trip exactly");
+
+        let mut bytes = clean.clone();
+        mutate(rng, &mut bytes, 0..16);
+        match read_bounded(&bytes, |p| decode_batches(p, ns, nt)) {
+            // the payload is canonical: what parsed re-encodes to its input
+            Ok(got) => assert_eq!(
+                encode_batches(&got),
+                bytes,
+                "accepted input did not round-trip"
+            ),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+        }
+    });
+}
+
+#[test]
+fn partition_of_2_pow_40_entities_is_invalid_data() {
+    // 24 bytes: n_source = 2^40, n_target = 3, k = 0 — a header that used
+    // to size the membership table before anything was checked
+    let mut input = (1u64 << 40).to_le_bytes().to_vec();
+    input.extend_from_slice(&3u64.to_le_bytes());
+    input.extend_from_slice(&0u64.to_le_bytes());
+    assert_eq!(input.len(), 24);
+    assert_invalid_data(read_bounded(&input, |p| decode_batches(p, 3, 3)), &input);
 }

@@ -1,8 +1,9 @@
 //! Property-based tests for the similarity-search substrate.
 
 use largeea::common::check::for_each_case;
+use largeea::common::obs::Recorder;
 use largeea::common::rng::Rng;
-use largeea::sim::{segmented_topk, topk_search, Metric, SparseSimMatrix};
+use largeea::sim::{segmented_topk_traced, topk_search, Metric, SparseSimMatrix};
 use largeea::tensor::Matrix;
 
 fn random_matrix(rng: &mut Rng, max_rows: usize, cols: usize) -> Matrix {
@@ -49,7 +50,14 @@ fn segmented_equals_plain() {
         let k = rng.gen_range(1..5usize);
         let segments = rng.gen_range(1..6usize);
         let plain = topk_search(&q, &base, k, Metric::Manhattan);
-        let seg = segmented_topk(&q, &base, k, Metric::Manhattan, segments);
+        let seg = segmented_topk_traced(
+            &q,
+            &base,
+            k,
+            Metric::Manhattan,
+            segments,
+            &Recorder::disabled(),
+        );
         assert_eq!(plain, seg);
     });
 }

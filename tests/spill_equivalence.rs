@@ -71,6 +71,20 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         let seeds = pair.split_seeds(0.2, seed_split);
         let base = LargeEa::new(cfg()).run(&pair, &seeds);
         assert!(base.tracked_peak_bytes > 0);
+        // in RAM the blocks stay in the RAM working store: no spill
+        // metric, and not even the default spill dir is created
+        let t = &base.trace;
+        let counters = t.counters.iter().map(|(k, _)| k);
+        let mut names = counters.chain(t.gauges.iter().map(|(k, _)| k));
+        assert!(
+            !names.any(|k| k.starts_with("mem.spill")),
+            "[split {seed_split}] an in-RAM run recorded spill traffic"
+        );
+        let default_dir = ExecOptions::from_flags(Some(1), None).spill_dir.unwrap();
+        assert!(
+            !default_dir.exists(),
+            "[split {seed_split}] in-RAM run made a spill dir"
+        );
 
         // First pass: spill with no budget, to measure the out-of-core peak.
         let rec = Recorder::new(ObsConfig::default());
@@ -105,12 +119,23 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         // Second pass: enforce exactly the measured peak as the budget —
         // determinism means the same run must fit, and the tracked peak of
         // a successful bounded run can never exceed its budget.
+        // At this shape the tracked peak of both regimes is the STNS
+        // signature table, which no store holds, so spilling can only tie
+        // it; it must never need more, and the structure channel, whose
+        // blocks it does spill, must need strictly less.
         let budget = spilled.tracked_peak_bytes;
         assert!(
-            budget < base.tracked_peak_bytes,
-            "[split {seed_split}] spilling should need less than in-RAM \
+            budget <= base.tracked_peak_bytes,
+            "[split {seed_split}] spilling should never need more than in-RAM \
              ({budget} vs {})",
             base.tracked_peak_bytes
+        );
+        assert!(
+            spilled.structure_peak_bytes < base.structure_peak_bytes,
+            "[split {seed_split}] spilling should shrink the structure channel \
+             ({} vs {})",
+            spilled.structure_peak_bytes,
+            base.structure_peak_bytes
         );
         let rec = Recorder::new(ObsConfig::default());
         let exec = ExecOptions {
